@@ -575,3 +575,32 @@ func BenchmarkEnumeratePlacements(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRecommendX24 measures one Recommend on the four-socket X2-4, whose
+// 864,500-shape space is sampled to 4000 placements. The system prediction
+// cache is dropped before every call so each one sweeps cold; the sampled
+// space itself stays memoised, as it does for every caller.
+func BenchmarkRecommendX24(b *testing.B) {
+	sys, err := NewSystem("x2-4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := entriesNamed(b, "CG")[0]
+	prof, err := sys.Profile(e.Truth)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sys.Recommend(&prof.Workload, 0.95); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sys.InvalidatePredictions()
+		b.StartTimer()
+		if _, err := sys.Recommend(&prof.Workload, 0.95); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -106,13 +106,35 @@ func TestMeasureScalingAndFit(t *testing.T) {
 	if runtime.NumCPU() < 2 {
 		t.Skip("needs 2+ CPUs")
 	}
-	e := &EP{Pairs: 1 << 21, Seed: 2}
-	ms, err := MeasureScaling(e, []int{1, 2, 4}, 2)
-	if err != nil {
-		t.Fatal(err)
+	// Wall-clock timings on a shared host only ever grow under load, so
+	// take each count's fastest run over interleaved rounds, and never ask
+	// for more threads than there are CPUs to run them.
+	counts := []int{1}
+	for _, n := range []int{2, 4} {
+		if n <= runtime.NumCPU() {
+			counts = append(counts, n)
+		}
 	}
-	if len(ms) != 3 || ms[0].Threads != 1 {
-		t.Fatalf("measurements = %v", ms)
+	const rounds = 7
+	e := &EP{Pairs: 1 << 21, Seed: 2}
+	var ms []Measurement
+	for r := 0; r < rounds; r++ {
+		round, err := MeasureScaling(e, counts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(round) != len(counts) || round[0].Threads != 1 {
+			t.Fatalf("measurements = %v", round)
+		}
+		if ms == nil {
+			ms = round
+			continue
+		}
+		for i, m := range round {
+			if m.Elapsed < ms[i].Elapsed {
+				ms[i] = m
+			}
+		}
 	}
 	p, err := FitParallelFraction(ms)
 	if err != nil {

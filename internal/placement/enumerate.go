@@ -16,6 +16,20 @@ import (
 // by convention throughout the codebase (enforced by the mutcheck pass).
 var enumCache sync.Map // topology.Machine -> []Shape
 
+// sampledCache memoises EnumerateSampled per (machine, max, seed).
+var sampledCache sync.Map // sampledKey -> *sampledSpace
+
+type sampledKey struct {
+	m    topology.Machine
+	max  int
+	seed int64
+}
+
+type sampledSpace struct {
+	shapes []Shape
+	places []Placement
+}
+
 // Enumerate generates every canonical shape on the machine: all multisets of
 // per-socket occupancies, at least one thread total. The result is sorted by
 // total thread count, then core count, then shape key, matching the
@@ -23,18 +37,65 @@ var enumCache sync.Map // topology.Machine -> []Shape
 // threads, then by the number of threads on core 0, ...").
 //
 // The canonical space is ~18k shapes for the X5-2 and ~1k for the X3-2/X4-2.
-// For machines whose space is enormous (the 4-socket X2-4 has ~860k), use
-// EnumerateSampled.
+// For machines whose space is enormous (the 4-socket X2-4 has ~860k),
+// search a sample instead: EnumerateSampled memoises one with its
+// expansion.
 //
 // Results are memoised per machine: repeated calls copy a cached slice
 // instead of re-running the recursion.
 func Enumerate(m topology.Machine) []Shape {
+	return append([]Shape(nil), enumerated(m)...)
+}
+
+// enumerated returns the memoised canonical space itself, which callers in
+// this package only read.
+func enumerated(m topology.Machine) []Shape {
 	if v, ok := enumCache.Load(m); ok {
-		return append([]Shape(nil), v.([]Shape)...)
+		return v.([]Shape)
 	}
 	shapes := enumerate(m)
 	enumCache.Store(m, shapes)
-	return append([]Shape(nil), shapes...)
+	return shapes
+}
+
+// EnumerateSampled returns Sample(Enumerate(m), max, seed) together with the
+// expansion of every sampled shape: places[i] is shapes[i].Expand(m). The
+// pair is computed once per (machine, max, seed) and then shared, so a
+// search over a fixed sample pays for neither the enumeration copy, the
+// sampling pass nor the expansion again.
+//
+// Both slices and everything they reference are shared and read-only;
+// callers that need to reorder or append copy first. The placements are
+// carved from one contiguous arena with cap == len, so an append to one of
+// them reallocates instead of overwriting its neighbour. max <= 0 keeps the
+// whole space, which on the X2-4 expands ~860k placements.
+func EnumerateSampled(m topology.Machine, max int, seed int64) (shapes []Shape, places []Placement) {
+	key := sampledKey{m, max, seed}
+	v, ok := sampledCache.Load(key)
+	if !ok {
+		v, _ = sampledCache.LoadOrStore(key, newSampledSpace(m, max, seed))
+	}
+	sp := v.(*sampledSpace)
+	return sp.shapes, sp.places
+}
+
+// newSampledSpace samples the memoised enumeration and expands the sample into
+// a single arena.
+func newSampledSpace(m topology.Machine, max int, seed int64) *sampledSpace {
+	shapes := Sample(enumerated(m), max, seed)
+	total := 0
+	for _, s := range shapes {
+		total += s.Threads()
+	}
+	arena := make([]topology.Context, total)
+	places := make([]Placement, len(shapes))
+	off := 0
+	for i, s := range shapes {
+		n := s.Threads()
+		places[i] = s.appendTo(arena[off : off : off+n])
+		off += n
+	}
+	return &sampledSpace{shapes: shapes, places: places}
 }
 
 // enumerate is the uncached enumeration.
@@ -190,13 +251,4 @@ func FilterMaxCores(shapes []Shape, k int) []Shape {
 		}
 	}
 	return out
-}
-
-// EnumerateSampled enumerates the canonical space lazily and keeps a
-// deterministic reservoir-style sample of at most max shapes per thread
-// count tier, bounding memory on machines with huge spaces. It returns the
-// shapes in canonical order.
-func EnumerateSampled(m topology.Machine, max int, seed int64) []Shape {
-	all := Enumerate(m)
-	return Sample(all, max, seed)
 }

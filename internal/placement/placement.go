@@ -13,6 +13,7 @@ package placement
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"pandia/internal/topology"
@@ -140,14 +141,35 @@ func (s Shape) Canonical() Shape {
 	return Shape{PerSocket: out}
 }
 
-// Key returns a comparable identity for the canonical form of the shape.
+// Key returns a comparable identity for the canonical form of the shape:
+// "ones.twos;" per non-empty socket, busiest first. SortShapes orders by
+// this string, so its bytes are part of the canonical plotting order.
 func (s Shape) Key() string {
-	c := s.Canonical()
-	var b strings.Builder
-	for _, sc := range c.PerSocket {
-		fmt.Fprintf(&b, "%d.%d;", sc.Ones, sc.Twos)
+	per := s.PerSocket
+	if !s.isCanonical() {
+		per = s.Canonical().PerSocket
 	}
-	return b.String()
+	var buf [64]byte
+	b := buf[:0]
+	for _, sc := range per {
+		b = strconv.AppendInt(b, int64(sc.Ones), 10)
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(sc.Twos), 10)
+		b = append(b, ';')
+	}
+	return string(b)
+}
+
+// isCanonical reports whether PerSocket already equals Canonical's: no
+// empty sockets and busiest first. Counts equal under less are identical,
+// so the order Canonical sorts into is unique.
+func (s Shape) isCanonical() bool {
+	for i, sc := range s.PerSocket {
+		if sc.Threads() <= 0 || i > 0 && sc.less(s.PerSocket[i-1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // String renders the shape as e.g. "s0:2x2+3x1 s1:4x1".
@@ -201,6 +223,14 @@ func (s Shape) Validate(m topology.Machine) error {
 // single-thread cores. Thread order is socket-major.
 func (s Shape) Expand(m topology.Machine) Placement {
 	var p Placement
+	if n := s.Threads(); n > 0 {
+		p = make(Placement, 0, n)
+	}
+	return s.appendTo(p)
+}
+
+// appendTo appends the shape's expansion (see Expand) to p.
+func (s Shape) appendTo(p Placement) Placement {
 	for sIdx, sc := range s.PerSocket {
 		core := 0
 		for i := 0; i < sc.Twos; i++ {

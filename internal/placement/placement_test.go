@@ -1,6 +1,9 @@
 package placement
 
 import (
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -168,7 +171,7 @@ func TestSampleStratified(t *testing.T) {
 
 func TestFilters(t *testing.T) {
 	m := topology.X24()
-	shapes := EnumerateSampled(m, 4000, 7)
+	shapes, _ := EnumerateSampled(m, 4000, 7)
 	two := FilterMaxSockets(shapes, 2)
 	for _, s := range two {
 		if s.SocketsUsed() > 2 {
@@ -332,6 +335,82 @@ func TestParseFormatRoundTrip(t *testing.T) {
 		}
 		if back.Key() != s.Key() {
 			t.Fatalf("round trip %v -> %v", s, back)
+		}
+	}
+}
+
+// fmtKey is Key as first written, kept as the oracle for the byte-for-byte
+// identity SortShapes and Sample depend on.
+func fmtKey(s Shape) string {
+	c := s.Canonical()
+	var b strings.Builder
+	for _, sc := range c.PerSocket {
+		fmt.Fprintf(&b, "%d.%d;", sc.Ones, sc.Twos)
+	}
+	return b.String()
+}
+
+func TestKeyMatchesFmtOracle(t *testing.T) {
+	for _, m := range []topology.Machine{topology.X32(), topology.X52()} {
+		for _, s := range Enumerate(m) {
+			if got, want := s.Key(), fmtKey(s); got != want {
+				t.Fatalf("%s: Key(%v) = %q, want %q", m.Name, s, got, want)
+			}
+		}
+	}
+	// Non-canonical shapes: empty and negative sockets, any order.
+	f := func(raw []int8) bool {
+		var s Shape
+		for i := 0; i+1 < len(raw) && len(s.PerSocket) < 6; i += 2 {
+			s.PerSocket = append(s.PerSocket, SocketCount{Ones: int(raw[i] % 20), Twos: int(raw[i+1] % 20)})
+		}
+		return s.Key() == fmtKey(s)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestEnumerateSampledShared checks the memo's sharing contract: concurrent
+// first calls agree on one value, and an append to one placement cannot
+// overwrite its neighbour in the arena.
+func TestEnumerateSampledShared(t *testing.T) {
+	m := topology.X42()
+	const workers = 4
+	var wg sync.WaitGroup
+	shapes := make([][]Shape, workers)
+	places := make([][]Placement, workers)
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			shapes[i], places[i] = EnumerateSampled(m, 300, 11)
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < workers; i++ {
+		if &shapes[i][0] != &shapes[0][0] || &places[i][0] != &places[0][0] {
+			t.Fatalf("worker %d got a different memo value", i)
+		}
+	}
+	ps := places[0]
+	next := append(Placement(nil), ps[1]...)
+	_ = append(ps[0], topology.Context{Socket: 9})
+	for j := range next {
+		if ps[1][j] != next[j] {
+			t.Fatalf("append to places[0] overwrote places[1][%d]", j)
+		}
+	}
+}
+
+// BenchmarkEnumerateCold times the uncached enumeration of the X5-2;
+// Enumerate itself only copies the memo after the first call.
+func BenchmarkEnumerateCold(b *testing.B) {
+	m := topology.X52()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if got := enumerate(m); len(got) != 18144 {
+			b.Fatalf("enumerated %d shapes", len(got))
 		}
 	}
 }

@@ -224,14 +224,21 @@ func (s *System) Measure(spec WorkloadSpec, p Placement) (float64, error) {
 }
 
 // Shapes enumerates the machine's canonical placement space, optionally
-// sampled down to at most maxShapes (0 = exhaustive).
+// sampled down to at most maxShapes (0 = exhaustive). The returned slice is
+// the caller's to reorder or append to.
 func (s *System) Shapes(maxShapes int) []Shape {
-	shapes := placement.Enumerate(s.tb.Machine())
-	if maxShapes > 0 {
-		shapes = placement.Sample(shapes, maxShapes, 1)
+	if maxShapes <= 0 {
+		return placement.Enumerate(s.tb.Machine())
 	}
-	return shapes
+	shapes, _ := placement.EnumerateSampled(s.tb.Machine(), maxShapes, shapeSeed)
+	return append([]Shape(nil), shapes...)
 }
+
+// shapeSeed seeds the sample Shapes and Recommend draw from large spaces.
+const shapeSeed = 1
+
+// recommendShapes caps the placement space Recommend searches.
+const recommendShapes = 4000
 
 // Recommendation is the output of Recommend: the placement predicted
 // fastest, and the smallest placement predicted to reach the target
@@ -268,8 +275,9 @@ func (s *System) Recommend(w *WorkloadDescription, targetFraction float64) (*Rec
 	if targetFraction > 1 {
 		return nil, fmt.Errorf("pandia: target fraction %g above 1", targetFraction)
 	}
-	shapes := s.Shapes(4000)
-	topo := s.tb.Machine()
+	// The sampled space and its expansion are memoised per machine and
+	// shared read-only, so the call's own work starts at the sweep.
+	shapes, places := placement.EnumerateSampled(s.tb.Machine(), recommendShapes, shapeSeed)
 
 	// Sweep on the fast path (speedups only) through the system prediction
 	// cache, pruning placements whose Amdahl bound cannot reach
@@ -277,10 +285,6 @@ func (s *System) Recommend(w *WorkloadDescription, targetFraction float64) (*Rec
 	// prediction just for the two winning shapes. PredictTime's Speedup is
 	// bit-identical to Predict's and pruned placements provably miss both
 	// the argmax and the target cut, so the selection is unchanged.
-	places := make([]Placement, len(shapes))
-	for i, shape := range shapes {
-		places[i] = shape.Expand(topo)
-	}
 	times, sweep, err := core.PredictSweepPruned(s.md, w, places, core.Options{Cache: s.cache}, targetFraction)
 	if err != nil {
 		return nil, err

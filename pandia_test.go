@@ -1,7 +1,11 @@
 package pandia
 
 import (
+	"sort"
+	"sync"
 	"testing"
+
+	"pandia/internal/placement"
 )
 
 func TestModels(t *testing.T) {
@@ -150,5 +154,117 @@ func TestFormatParseShapeFacade(t *testing.T) {
 	}
 	if FormatShape(s) != "2x2/1x1" {
 		t.Errorf("FormatShape = %q", FormatShape(s))
+	}
+}
+
+// profiled builds a system and profiles one zoo workload on it.
+func profiled(t *testing.T, model, name string) (*System, *WorkloadDescription) {
+	t.Helper()
+	sys, err := NewSystem(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := BenchmarkByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := sys.Profile(b.Truth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, &prof.Workload
+}
+
+// recommendKey summarises the selection of a recommendation.
+func recommendKey(rec *Recommendation) [2]string {
+	return [2]string{FormatShape(rec.Best), FormatShape(rec.Minimal)}
+}
+
+// TestShapesDoesNotAliasRecommend reorders the slice Shapes hands out and
+// checks a later Recommend still selects the same placements. On the X3-2
+// the space is below the sample cap, so the memo holds the enumeration
+// itself; on the X5-2 it holds a sample.
+func TestShapesDoesNotAliasRecommend(t *testing.T) {
+	for _, model := range []string{"x3-2", "x5-2"} {
+		sys, w := profiled(t, model, "CG")
+		before, err := sys.Recommend(w, 0.95)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes := sys.Shapes(4000)
+		for i, j := 0, len(shapes)-1; i < j; i, j = i+1, j-1 {
+			shapes[i], shapes[j] = shapes[j], shapes[i]
+		}
+		sort.Slice(shapes, func(i, j int) bool { return shapes[i].Key() > shapes[j].Key() })
+		sys.InvalidatePredictions()
+		after, err := sys.Recommend(w, 0.95)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recommendKey(after) != recommendKey(before) ||
+			after.BestPrediction.Speedup != before.BestPrediction.Speedup {
+			t.Errorf("%s: Recommend changed after reordering Shapes: %v -> %v",
+				model, recommendKey(before), recommendKey(after))
+		}
+	}
+}
+
+func TestRecommendConcurrent(t *testing.T) {
+	sys, w := profiled(t, "x3-2", "MD")
+	const workers = 4
+	recs := make([]*Recommendation, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			recs[i], errs[i] = sys.Recommend(w, 0.9)
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < workers; i++ {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if recommendKey(recs[i]) != recommendKey(recs[0]) {
+			t.Errorf("worker %d chose %v, worker 0 %v", i, recommendKey(recs[i]), recommendKey(recs[0]))
+		}
+	}
+}
+
+// TestEnumerateSampledMatchesFresh checks the memoised space element by
+// element against a fresh enumeration, sample and expansion, and that every
+// memoised placement is carved with cap == len.
+func TestEnumerateSampledMatchesFresh(t *testing.T) {
+	for _, model := range []string{"x3-2", "x5-2"} {
+		sys, err := NewSystem(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := sys.Machine()
+		shapes, places := placement.EnumerateSampled(m, recommendShapes, shapeSeed)
+		want := placement.Sample(placement.Enumerate(m), recommendShapes, shapeSeed)
+		if len(shapes) != len(want) || len(places) != len(want) {
+			t.Fatalf("%s: memo has %d shapes, %d places; fresh sample %d",
+				model, len(shapes), len(places), len(want))
+		}
+		for i, s := range want {
+			if shapes[i].Key() != s.Key() {
+				t.Fatalf("%s: shape %d = %v, want %v", model, i, shapes[i], s)
+			}
+			p, fresh := places[i], s.Expand(m)
+			if cap(p) != len(p) {
+				t.Fatalf("%s: places[%d] cap %d != len %d", model, i, cap(p), len(p))
+			}
+			if len(p) != len(fresh) {
+				t.Fatalf("%s: places[%d] = %v, want %v", model, i, p, fresh)
+			}
+			for j := range p {
+				if p[j] != fresh[j] {
+					t.Fatalf("%s: places[%d] = %v, want %v", model, i, p, fresh)
+				}
+			}
+		}
 	}
 }
