@@ -149,8 +149,10 @@ func (s *Scheduler) regressionRegister() {
 
 func (s *Scheduler) regressionQuietSocket(free []topology.Context, n int, m topology.Machine) placement.Placement {
 	busy := make([]int, m.Sockets)
-	for c := range s.occupied {
-		busy[c.Socket]++
+	for i, owner := range s.occupied {
+		if owner != "" {
+			busy[m.ContextAt(i).Socket]++
+		}
 	}
 	if len(free) < n || len(busy) == 0 {
 		return nil

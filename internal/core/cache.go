@@ -36,6 +36,18 @@ const (
 	verifyPrime64  = 0x9e3779b97f4a7c15
 )
 
+// The eighth powers of the two primes, mod 2^64. Folding a byte b and then
+// seven zero bytes multiplies by the prime eight times, which is one
+// multiplication by its eighth power: (h^b)*p*p*...*p == (h^b)*p^8 mod 2^64.
+const (
+	fnvPrime64Pow2    = fnvPrime64 * fnvPrime64 % (1 << 64)
+	fnvPrime64Pow4    = fnvPrime64Pow2 * fnvPrime64Pow2 % (1 << 64)
+	fnvPrime64Pow8    = fnvPrime64Pow4 * fnvPrime64Pow4 % (1 << 64)
+	verifyPrime64Pow2 = verifyPrime64 * verifyPrime64 % (1 << 64)
+	verifyPrime64Pow4 = verifyPrime64Pow2 * verifyPrime64Pow2 % (1 << 64)
+	verifyPrime64Pow8 = verifyPrime64Pow4 * verifyPrime64Pow4 % (1 << 64)
+)
+
 // canonHash accumulates the canonical key and its verifier in one pass.
 // All methods are allocation-free so key derivation can run on the
 // //pandia:noalloc fast path.
@@ -48,7 +60,15 @@ func (h *canonHash) byte(b byte) {
 	h.verify = (h.verify ^ uint64(b)) * verifyPrime64
 }
 
+// word folds v's eight bytes, least significant first. A value below 256
+// — every context coordinate and placement length — has seven zero bytes
+// after the first, so it folds in one step per stream with the same result.
 func (h *canonHash) word(v uint64) {
+	if v < 1<<8 {
+		h.key = (h.key ^ v) * fnvPrime64Pow8
+		h.verify = (h.verify ^ v) * verifyPrime64Pow8
+		return
+	}
 	for i := 0; i < 8; i++ {
 		h.byte(byte(v))
 		v >>= 8
@@ -291,23 +311,46 @@ func NewCoCache(capacity int) *CoCache {
 // floating-point accumulation in the joint solver is order-sensitive, so
 // permutations of one mix are distinct solves and distinct keys.
 func (c *CoCache) Key(md *machine.Description, placed []PlacedWorkload, opt Options) (uint64, uint64) {
-	h := newCanonHash()
-	h.word(c.epoch.Load())
-	h.machine(md)
-	h.options(opt)
-	h.int(len(placed))
-	for _, pw := range placed {
+	return c.KeyPrefix(md, opt, len(placed), nil).Extend(placed).Sum()
+}
+
+// CoKeyPrefix is a joint-prediction key part way through its jobs: the
+// canonical hash state after the epoch, machine, options, job count and a
+// run of leading jobs. A caller scoring many candidates for one slot of an
+// otherwise fixed mix hashes the jobs before the slot once and extends a
+// copy per candidate, so each key costs only the candidate and the jobs
+// after it. Extending a prefix with the remaining jobs yields exactly the
+// bytes Key hashes.
+type CoKeyPrefix struct{ h canonHash }
+
+// KeyPrefix starts the key of an n-job mix on md under opt whose leading
+// jobs are fixed (len(fixed) <= n).
+func (c *CoCache) KeyPrefix(md *machine.Description, opt Options, n int, fixed []PlacedWorkload) CoKeyPrefix {
+	p := CoKeyPrefix{newCanonHash()}
+	p.h.word(c.epoch.Load())
+	p.h.machine(md)
+	p.h.options(opt)
+	p.h.int(n)
+	return p.Extend(fixed)
+}
+
+// Extend returns the prefix with the jobs appended in order.
+func (p CoKeyPrefix) Extend(jobs []PlacedWorkload) CoKeyPrefix {
+	for _, pw := range jobs {
 		if pw.Workload == nil {
 			// Nil workloads never reach the solver (bind rejects them);
 			// fold a marker so the key is still well-defined.
-			h.byte(0xff)
+			p.h.byte(0xff)
 			continue
 		}
-		h.workload(pw.Workload)
-		h.placement(pw.Placement)
+		p.h.workload(pw.Workload)
+		p.h.placement(pw.Placement)
 	}
-	return h.key, h.verify
+	return p
 }
+
+// Sum returns the key and verifier of a prefix that covers every job.
+func (p CoKeyPrefix) Sum() (key, verify uint64) { return p.h.key, p.h.verify }
 
 // Lookup serves a stored joint prediction when both digests match. The
 // returned CoPrediction is shared and must not be mutated.

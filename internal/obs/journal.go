@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -329,30 +331,28 @@ func (j *Journal) Records() []DecisionRecord {
 	if j == nil {
 		return nil
 	}
-	out := make([]DecisionRecord, 0, len(j.slots))
-	for i := range j.slots {
-		j.slots[i].mu.Lock()
-		if j.slots[i].seq != 0 {
-			out = append(out, j.slots[i].rec)
+	// Slots are claimed round-robin, so the oldest record sits at the ring
+	// head (the slot the next ticket claims): reading from there yields
+	// emission order. Only a writer lapping the ring during the read can
+	// leave the copy out of order, and then sorting by Seq restores it.
+	n := len(j.slots)
+	head := int(j.ticket.Load() % int64(n))
+	out := make([]DecisionRecord, 0, n)
+	for k := 0; k < n; k++ {
+		s := &j.slots[(head+k)%n]
+		s.mu.Lock()
+		if s.seq != 0 {
+			out = append(out, s.rec)
 		}
-		j.slots[i].mu.Unlock()
+		s.mu.Unlock()
 	}
-	// Slots are claimed round-robin, so sorting by Seq restores emission
-	// order regardless of where the ring's head currently is.
-	sortRecordsBySeq(out)
+	if !slices.IsSortedFunc(out, bySeq) {
+		slices.SortFunc(out, bySeq)
+	}
 	return out
 }
 
-func sortRecordsBySeq(recs []DecisionRecord) {
-	// Insertion sort: the slice is nearly sorted already (two runs split at
-	// the ring head) and small (ring capacity), so this beats pulling in
-	// sort for a hot dump path.
-	for i := 1; i < len(recs); i++ {
-		for k := i; k > 0 && recs[k].Seq < recs[k-1].Seq; k-- {
-			recs[k], recs[k-1] = recs[k-1], recs[k]
-		}
-	}
-}
+func bySeq(a, b DecisionRecord) int { return cmp.Compare(a.Seq, b.Seq) }
 
 // Reset discards buffered records and incidents, keeping capacity, clock,
 // enabled state, and the id counters, and re-baselines incident deltas.
@@ -371,7 +371,9 @@ func (j *Journal) Reset() {
 
 // Incident auto-snapshots the journal window around an incident: the
 // current ring contents plus the registry counter deltas since the last
-// dump. A nil or disabled journal ignores the call.
+// dump. Past maxIncidentDumps the incident is counted and the delta
+// baseline advanced, but the window is not copied. A nil or disabled
+// journal ignores the call.
 func (j *Journal) Incident(trigger string, decision int64, job, detail string) {
 	if !j.Enabled() {
 		return
@@ -380,17 +382,17 @@ func (j *Journal) Incident(trigger string, decision int64, job, detail string) {
 	if j.clock != nil {
 		t = j.clock.Now()
 	}
-	records := j.Records()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	snap := j.reg.Snapshot()
-	deltas := snap.DeltaFrom(j.baseline)
+	snap, prev := j.reg.Snapshot(), j.baseline
 	j.baseline = snap
 	j.incidentCount++
 	metIncidentDumps.Inc()
 	if len(j.incidents) >= maxIncidentDumps {
 		return
 	}
+	deltas := snap.DeltaFrom(prev)
+	records := j.Records()
 	j.incidents = append(j.incidents, IncidentDump{
 		ID:           j.incidentCount,
 		Time:         t,

@@ -291,3 +291,130 @@ func TestJournalHandlerMatchesJSONLDump(t *testing.T) {
 		}
 	}
 }
+
+// requireSeqAscending fails unless recs are strictly Seq-ascending.
+func requireSeqAscending(t *testing.T, recs []DecisionRecord) {
+	t.Helper()
+	for i := 1; i < len(recs); i++ {
+		if recs[i].Seq <= recs[i-1].Seq {
+			t.Fatalf("records not strictly seq-ordered at %d: %d then %d", i, recs[i-1].Seq, recs[i].Seq)
+		}
+	}
+}
+
+// TestJournalRecordsOrderedAtEveryHead reads a small ring at every head
+// position, through several laps, and a wrapped 512-slot ring: Records must
+// return the newest min(recorded, capacity) records, oldest first.
+func TestJournalRecordsOrderedAtEveryHead(t *testing.T) {
+	for _, capacity := range []int{1, 2, 5, 512} {
+		j := NewJournal(capacity, nil)
+		j.SetEnabled(true)
+		for n := 1; n <= 3*capacity+1; n++ {
+			j.Record(DecisionRecord{ID: j.NextID(), Op: "submit"})
+			if capacity == 512 && n%97 != 0 && n != 3*capacity+1 {
+				continue
+			}
+			recs := j.Records()
+			want := min(n, capacity)
+			if len(recs) != want {
+				t.Fatalf("cap %d after %d records: got %d, want %d", capacity, n, len(recs), want)
+			}
+			requireSeqAscending(t, recs)
+			if got := recs[len(recs)-1].Seq; got != int64(n) {
+				t.Fatalf("cap %d after %d records: newest seq %d", capacity, n, got)
+			}
+		}
+	}
+}
+
+// TestJournalRecordsOrderedUnderLappingWriters reads a ring that writers
+// keep lapping: every copy must still come out strictly Seq-ascending.
+// Run under -race it also checks the read path's locking.
+func TestJournalRecordsOrderedUnderLappingWriters(t *testing.T) {
+	const writers, perWriter = 4, 2000
+	j := NewJournal(8, nil)
+	j.SetEnabled(true)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				j.Record(DecisionRecord{ID: j.NextID(), Op: "submit"})
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for {
+		requireSeqAscending(t, j.Records())
+		select {
+		case <-done:
+			requireSeqAscending(t, j.Records())
+			return
+		default:
+		}
+	}
+}
+
+// TestJournalIncidentPastCapSkipsWindow pins the capped incident path: an
+// incident past maxIncidentDumps retains no dump but still counts and
+// still advances the delta baseline, so the next retained dump (after a
+// Reset) reports only its own window's movement.
+func TestJournalIncidentPastCapSkipsWindow(t *testing.T) {
+	c := Default().Counter("test.journal.incident.pastcap")
+	j := NewJournal(4, nil)
+	j.SetEnabled(true)
+	j.Record(DecisionRecord{ID: j.NextID(), Op: "submit"})
+	for i := 0; i < maxIncidentDumps; i++ {
+		j.Incident("eviction", 0, "", "fill")
+	}
+	dumps := metIncidentDumps.Value()
+	c.Add(5)
+	j.Incident("eviction", 0, "", "past cap")
+	if got := metIncidentDumps.Value() - dumps; got != 1 {
+		t.Fatalf("past-cap incident counted %d times, want 1", got)
+	}
+	if got := len(j.Incidents()); got != maxIncidentDumps {
+		t.Fatalf("retained %d dumps, want the cap %d", got, maxIncidentDumps)
+	}
+	j.mu.Lock()
+	base := j.baseline.Counter("test.journal.incident.pastcap")
+	j.mu.Unlock()
+	if base != c.Value() {
+		t.Fatalf("baseline holds %d for the counter, want %d: past-cap incident did not advance it", base, c.Value())
+	}
+}
+
+// BenchmarkJournalIncident measures one incident on a wrapped 512-slot
+// ring: "retained" copies the window into a kept dump, "past-cap" is the
+// flood case where the dump list is full and only the deltas advance.
+func BenchmarkJournalIncident(b *testing.B) {
+	j := NewJournal(512, NewManualClock(0, 1))
+	j.SetEnabled(true)
+	for i := 0; i < 512*2+37; i++ {
+		j.Record(DecisionRecord{ID: j.NextID(), Op: "submit", Job: "job"})
+	}
+	b.Run("retained", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			j.mu.Lock()
+			j.incidents = j.incidents[:0]
+			j.mu.Unlock()
+			j.Incident("eviction", 1, "job", "bench")
+		}
+	})
+	b.Run("past-cap", func(b *testing.B) {
+		for len(j.Incidents()) < maxIncidentDumps {
+			j.Incident("eviction", 1, "job", "fill")
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j.Incident("eviction", 1, "job", "bench")
+		}
+	})
+}

@@ -10,7 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 
 	"pandia/internal/core"
 	"pandia/internal/obs"
@@ -129,24 +129,13 @@ func (s *Scheduler) explainJob(id string, asText bool) (*explainResponse, string
 	if !ok {
 		return nil, "", fmt.Errorf("scheduler: job %q not running", id)
 	}
-	// jobsLocked orders the mix by sorted job ID, so the job's index is its
+	// mixLocked orders the mix by sorted job ID, so the job's index is its
 	// rank among the running IDs.
-	jobs := s.jobsLocked()
-	ids := make([]string, 0, len(s.running))
-	for jid := range s.running {
-		ids = append(ids, jid)
-	}
-	sort.Strings(ids)
-	idx := -1
+	ids, jobs := s.mixLocked(0)
+	idx, _ := slices.BinarySearch(ids, id)
 	mix := make([]string, 0, len(jobs))
 	for i, pw := range jobs {
 		mix = append(mix, fmt.Sprintf("%s: %d threads on %s", ids[i], len(pw.Placement), placement.Placement(pw.Placement).String()))
-		if ids[i] == id {
-			idx = i
-		}
-	}
-	if idx < 0 {
-		return nil, "", fmt.Errorf("scheduler: job %q not in the running mix", id)
 	}
 	co, err := s.predictMixLocked(jobs, 0)
 	if err != nil {

@@ -3,10 +3,9 @@ package scheduler
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
-	"pandia/internal/core"
 	"pandia/internal/obs"
 	"pandia/internal/placement"
 	"pandia/internal/topology"
@@ -133,24 +132,31 @@ type DrainReport struct {
 	DeadlineExceeded bool
 }
 
-// healthLocked returns a context's health. The caller must hold mu.
+// healthLocked returns an on-machine context's health. The caller must
+// hold mu.
 func (s *Scheduler) healthLocked(c topology.Context) Health {
-	return s.health[c]
+	return s.health[s.md.Topo.ContextIndex(c)]
 }
 
 // setHealthLocked transitions one context and keeps the unhealthy gauge
 // current. The caller must hold mu.
 func (s *Scheduler) setHealthLocked(c topology.Context, h Health) {
-	if h == Healthy {
-		delete(s.health, c)
-	} else {
-		s.health[c] = h
+	i := s.md.Topo.ContextIndex(c)
+	if was := s.health[i]; was == Healthy && h != Healthy {
+		s.unhealthy++
+	} else if was != Healthy && h == Healthy {
+		s.unhealthy--
 	}
-	metUnhealthy.Set(float64(len(s.health)))
+	s.health[i] = h
+	metUnhealthy.Set(float64(s.unhealthy))
 }
 
-// Health returns one context's operational state.
+// Health returns one context's operational state (Healthy for a context
+// not on the machine).
 func (s *Scheduler) Health(c topology.Context) Health {
+	if !s.md.Topo.ValidContext(c) {
+		return Healthy
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.healthLocked(c)
@@ -160,7 +166,7 @@ func (s *Scheduler) Health(c topology.Context) Health {
 func (s *Scheduler) HealthCounts() HealthCounts {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	hc := HealthCounts{Healthy: s.md.Topo.TotalContexts() - len(s.health)}
+	hc := HealthCounts{Healthy: len(s.health) - s.unhealthy}
 	for _, h := range s.health {
 		switch h {
 		case Cordoned:
@@ -267,13 +273,9 @@ func (s *Scheduler) socketContexts(sock int) ([]topology.Context, error) {
 		return nil, fmt.Errorf("scheduler: socket %d not on machine %s (%d sockets)",
 			sock, s.md.Topo.Name, s.md.Topo.Sockets)
 	}
-	var out []topology.Context
-	for _, c := range s.md.Topo.Contexts() {
-		if c.Socket == sock {
-			out = append(out, c)
-		}
-	}
-	return out, nil
+	// Dense order is socket-major, so a socket's contexts are one run.
+	per := s.md.Topo.CoresPerSocket * s.md.Topo.ThreadsPerCore
+	return s.contexts[sock*per : (sock+1)*per : (sock+1)*per], nil
 }
 
 // Fail marks the contexts as failed and forcibly evicts every job with a
@@ -297,11 +299,7 @@ func (s *Scheduler) Fail(ctxs ...topology.Context) (*EvictionReport, error) {
 		}
 	}
 	sortContexts(rep.Failed)
-	failed := make(map[topology.Context]bool, len(ctxs))
-	for _, c := range ctxs {
-		failed[c] = true
-	}
-	for _, id := range s.affectedLocked(failed) {
+	for _, id := range s.affectedLocked(ctxs) {
 		rep.Evicted = append(rep.Evicted, s.evictLocked(&sc, id, "context failed"))
 	}
 	if sc.journaling {
@@ -335,22 +333,15 @@ func (s *Scheduler) FailSocket(sock int) (*EvictionReport, error) {
 }
 
 // affectedLocked returns, in sorted order, the IDs of running jobs with at
-// least one thread on a context of the set. The caller must hold mu.
-func (s *Scheduler) affectedLocked(set map[topology.Context]bool) []string {
-	var ids []string
-	for id := range s.running {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+// least one thread on one of ctxs. The caller must hold mu.
+func (s *Scheduler) affectedLocked(ctxs []topology.Context) []string {
 	var out []string
-	for _, id := range ids {
-		for _, c := range s.running[id].Placement {
-			if set[c] {
-				out = append(out, id)
-				break
-			}
+	for _, c := range ctxs {
+		if id := s.occupied[s.md.Topo.ContextIndex(c)]; id != "" && !slices.Contains(out, id) {
+			out = append(out, id)
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -364,9 +355,7 @@ func (s *Scheduler) evictLocked(sc *opScope, id, reason string) Eviction {
 		Placement: append(placement.Placement(nil), a.Placement...),
 		Reason:    reason,
 	}
-	for _, c := range a.Placement {
-		delete(s.occupied, c)
-	}
+	s.placeLocked("", a.Placement)
 	delete(s.running, id)
 	metRunningJobs.Set(float64(len(s.running)))
 	metEvictions.Inc()
@@ -396,14 +385,10 @@ func (s *Scheduler) Drain(ctxs []topology.Context, opt DrainOptions) (*DrainRepo
 
 	rep := &DrainReport{}
 	s.cordonLocked(ctxs)
-	target := make(map[topology.Context]bool, len(ctxs))
-	for _, c := range ctxs {
-		target[c] = true
-		rep.Drained = append(rep.Drained, c)
-	}
+	rep.Drained = append(rep.Drained, ctxs...)
 	sortContexts(rep.Drained)
 
-	for _, id := range s.affectedLocked(target) {
+	for _, id := range s.affectedLocked(ctxs) {
 		if rep.DeadlineExceeded {
 			rep.Evicted = append(rep.Evicted, s.evictLocked(&sc, id, "drain deadline exceeded"))
 			continue
@@ -449,12 +434,8 @@ func (s *Scheduler) drainJobLocked(sc *opScope, id string, opt DrainOptions, rep
 		}
 		if err == nil {
 			from := append(placement.Placement(nil), a.Placement...)
-			for _, c := range a.Placement {
-				delete(s.occupied, c)
-			}
-			for _, c := range cand {
-				s.occupied[c] = id
-			}
+			s.placeLocked("", a.Placement)
+			s.placeLocked(id, cand)
 			a.Placement = append(placement.Placement(nil), cand...)
 			rep.Migrated = append(rep.Migrated, Migration{JobID: id, From: from, To: cand, Attempts: attempts})
 			metMigrations.Inc()
@@ -486,35 +467,14 @@ func (s *Scheduler) drainJobLocked(sc *opScope, id string, opt DrainOptions, rep
 // fixed. nil means no feasible placement. span is the requesting decision's
 // id for trace attribution. The caller must hold mu.
 func (s *Scheduler) bestMigrationLocked(id string, a *Assignment, span int64) placement.Placement {
-	avail := s.freeLocked()
-	for _, c := range a.Placement {
-		if s.healthLocked(c) == Healthy {
-			avail = append(avail, c)
-		}
-	}
-	sortContexts(avail)
+	avail := s.availLocked(id)
 	n := len(a.Placement)
 	if n > len(avail) {
 		return nil
 	}
-
-	ids := make([]string, 0, len(s.running))
-	for jid := range s.running {
-		ids = append(ids, jid)
-	}
-	sort.Strings(ids)
-	jobs := make([]core.PlacedWorkload, len(ids))
-	idx := -1
-	for i, jid := range ids {
-		ja := s.running[jid]
-		jobs[i] = core.PlacedWorkload{Workload: ja.Job.Workload, Placement: ja.Placement}
-		if jid == id {
-			idx = i
-		}
-	}
-	if idx < 0 {
-		return nil
-	}
+	ids, mix := s.mixLocked(0)
+	slot, _ := slices.BinarySearch(ids, id)
+	pre := s.keyPrefixLocked(mix, slot)
 
 	// Every candidate keeps the other jobs' placements and the moved job's
 	// thread count fixed, so all candidates share one Amdahl upper bound on
@@ -522,79 +482,76 @@ func (s *Scheduler) bestMigrationLocked(id string, a *Assignment, span int64) pl
 	// strictly beat it and are skipped (ties keep the first, exactly as the
 	// strict > below would).
 	idealBound := 0.0
-	for _, pw := range jobs {
+	for _, pw := range mix {
 		idealBound += pw.Workload.AmdahlSpeedup(len(pw.Placement))
 	}
 
 	bestScore := math.Inf(-1)
-	var best placement.Placement
-	seen := make(map[string]bool)
-	busy := s.socketOccupancyLocked()
-	for _, gen := range []struct {
-		name string
-		fn   func([]topology.Context, int, topology.Machine) placement.Placement
-	}{
-		{"pack", packFree},
-		{"spread", spreadFree},
-		{"quiet-socket", func(free []topology.Context, n int, m topology.Machine) placement.Placement {
-			return quietSocketFree(busy, free, n, m)
-		}},
-	} {
-		cand := gen.fn(avail, n, s.md.Topo)
-		if cand == nil || seen[cand.String()] {
+	best := -1
+	cands := s.candidatesLocked(avail, n)
+	for k, cand := range cands {
+		if repeats(cands, k) {
 			continue
 		}
-		seen[cand.String()] = true
 		if bestScore >= idealBound {
 			metCandidatesPruned.Inc()
 			continue
 		}
-		jobs[idx] = core.PlacedWorkload{Workload: a.Job.Workload, Placement: cand}
-		co, err := s.predictMixLocked(jobs, span)
+		mix[slot].Placement = cand.place
+		co, err := s.predictSlotLocked(pre, mix, slot, span)
 		if err != nil {
 			continue
 		}
 		if score := aggregateThroughput(co); score > bestScore {
-			bestScore = score
-			best = cand
+			bestScore, best = score, k
 		}
 	}
-	return best
+	if best < 0 {
+		return nil
+	}
+	return slices.Clone(cands[best].place)
 }
 
 // CheckConsistency verifies the scheduler's structural invariants: the
-// occupancy map and the running placements are a bijection, no two jobs
-// share a context, and no thread sits on a failed context. The scenario
+// per-context occupancy and the running placements are a bijection, no two
+// jobs share a context, no thread sits on a failed context, and the
+// unhealthy count matches the health states. The scenario
 // engine calls it after every event; a non-nil error is a scheduler bug.
 func (s *Scheduler) CheckConsistency() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	ids, _ := s.mixLocked(0)
+	placed := make([]bool, len(s.contexts))
 	want := 0
-	ids := make([]string, 0, len(s.running))
-	for id := range s.running {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	for _, id := range ids {
-		a := s.running[id]
-		seen := make(map[topology.Context]bool, len(a.Placement))
-		for _, c := range a.Placement {
-			if seen[c] {
+		for _, c := range s.running[id].Placement {
+			i := s.md.Topo.ContextIndex(c)
+			switch {
+			case s.occupied[i] != id:
+				return fmt.Errorf("scheduler: job %q holds context %v but occupancy says %q", id, c, s.occupied[i])
+			case placed[i]:
 				return fmt.Errorf("scheduler: job %q placed twice on context %v", id, c)
-			}
-			seen[c] = true
-			if owner, ok := s.occupied[c]; !ok || owner != id {
-				return fmt.Errorf("scheduler: job %q holds context %v but occupancy says %q", id, c, owner)
-			}
-			if s.healthLocked(c) == Failed {
+			case s.health[i] == Failed:
 				return fmt.Errorf("scheduler: job %q still placed on failed context %v", id, c)
 			}
+			placed[i] = true
+			want++
 		}
-		want += len(a.Placement)
 	}
-	if len(s.occupied) != want {
-		return fmt.Errorf("scheduler: occupancy map has %d contexts, running placements hold %d",
-			len(s.occupied), want)
+	held, unhealthy := 0, 0
+	for i := range s.contexts {
+		if s.occupied[i] != "" {
+			held++
+		}
+		if s.health[i] != Healthy {
+			unhealthy++
+		}
+	}
+	if held != want {
+		return fmt.Errorf("scheduler: occupancy holds %d contexts, running placements hold %d", held, want)
+	}
+	if unhealthy != s.unhealthy {
+		return fmt.Errorf("scheduler: %d contexts unhealthy, counter says %d", unhealthy, s.unhealthy)
 	}
 	return nil
 }

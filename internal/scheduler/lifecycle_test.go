@@ -70,6 +70,13 @@ func TestCordonValidation(t *testing.T) {
 	if _, err := s.CordonSocket(s.Machine().Sockets); err == nil {
 		t.Fatal("cordon of out-of-range socket succeeded")
 	}
+	// Health is indexed densely; an off-machine context must read as
+	// Healthy rather than index out of range.
+	for _, c := range []topology.Context{{Socket: 99}, {Core: -1}, {Slot: s.Machine().ThreadsPerCore}} {
+		if h := s.Health(c); h != Healthy {
+			t.Fatalf("Health(%v) = %s, want healthy", c, h)
+		}
+	}
 }
 
 func TestFailEvictsOccupants(t *testing.T) {

@@ -1,10 +1,11 @@
 package scheduler
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
-	"pandia/internal/core"
 	"pandia/internal/obs"
 	"pandia/internal/placement"
 	"pandia/internal/topology"
@@ -71,25 +72,18 @@ func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
 	sc := s.beginOpLocked("rebalance", "")
 	defer sc.end()
 
-	ids := make([]string, 0, len(s.running))
-	for id := range s.running {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	baseJobs := make([]core.PlacedWorkload, len(ids))
-	for i, id := range ids {
-		a := s.running[id]
-		baseJobs[i] = core.PlacedWorkload{Workload: a.Job.Workload, Placement: a.Placement}
-	}
-	baseCo, err := s.predictMixLocked(baseJobs, sc.id)
+	// Each job's candidates take its slot in the mix slab; pre covers the
+	// jobs before that slot.
+	ids, mix := s.mixLocked(0)
+	pre := s.keyPrefixLocked(mix, 0)
+	baseCo, err := s.predictSlotLocked(pre, mix, 0, sc.id)
 	if err != nil {
 		sc.errored(err)
 		return nil, err
 	}
 	baseScore := aggregateThroughput(baseCo)
 	rep := &RebalanceReport{
-		JobIDs:    ids,
+		JobIDs:    slices.Clone(ids),
 		BaseTimes: make([]float64, len(ids)),
 		BaseScore: baseScore,
 	}
@@ -97,66 +91,45 @@ func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
 		rep.BaseTimes[i] = baseCo.Predictions[i].Time
 	}
 
-	// Snapshot the per-socket occupancy once, under the lock, so the
-	// quiet-socket strategy below stays a pure function of its inputs.
-	busy := s.socketOccupancyLocked()
-
-	for i, id := range ids {
+	for i, id := range rep.JobIDs {
 		a := s.running[id]
 		// The job may move anywhere that is free and healthy, or onto its
 		// own healthy contexts; cordoned contexts it occupies are excluded
 		// so advice naturally migrates jobs off a cordon.
-		avail := s.freeLocked()
-		for _, c := range a.Placement {
-			if s.healthLocked(c) == Healthy {
-				avail = append(avail, c)
-			}
-		}
-		sortContexts(avail)
-		n := len(a.Placement)
-		for _, gen := range []struct {
-			name string
-			fn   func([]topology.Context, int, topology.Machine) placement.Placement
-		}{
-			{"pack", packFree},
-			{"spread", spreadFree},
-			{"quiet-socket", func(free []topology.Context, n int, m topology.Machine) placement.Placement {
-				return quietSocketFree(busy, free, n, m)
-			}},
-		} {
-			cand := gen.fn(avail, n, s.md.Topo)
-			if cand == nil || samePlacement(cand, a.Placement) {
+		for _, cand := range s.candidatesLocked(s.availLocked(id), len(a.Placement)) {
+			if s.holdsLocked(id, cand.place) {
 				continue
 			}
-			jobs := append([]core.PlacedWorkload(nil), baseJobs...)
-			jobs[i] = core.PlacedWorkload{Workload: a.Job.Workload, Placement: cand}
-			co, err := s.predictMixLocked(jobs, sc.id)
+			mix[i].Placement = cand.place
+			co, err := s.predictSlotLocked(pre, mix, i, sc.id)
 			if err != nil {
 				sc.errored(err)
 				return nil, err
 			}
 			gain := aggregateThroughput(co)/baseScore - 1
 			if gain >= minGain {
-				deltas := make([]JobDelta, len(ids))
-				for k := range ids {
+				deltas := make([]JobDelta, len(rep.JobIDs))
+				for k, jid := range rep.JobIDs {
 					deltas[k] = JobDelta{
-						JobID:  ids[k],
+						JobID:  jid,
 						Before: rep.BaseTimes[k],
 						After:  co.Predictions[k].Time,
 					}
 				}
 				rep.Moves = append(rep.Moves, Move{
-					JobID: id, From: a.Placement, To: cand,
-					Strategy: gen.name, Gain: gain, Deltas: deltas,
+					JobID: id, From: a.Placement, To: slices.Clone(cand.place),
+					Strategy: cand.strategy, Gain: gain, Deltas: deltas,
 				})
 			}
 		}
+		mix[i].Placement = a.Placement
+		pre = pre.Extend(mix[i : i+1])
 	}
 	sort.Slice(rep.Moves, func(a, b int) bool { return rep.Moves[a].Gain > rep.Moves[b].Gain })
 	metRebalanceMoves.Add(int64(len(rep.Moves)))
 	if sc.journaling {
 		sc.rec.Outcome = "advised"
-		sc.rec.Candidates = len(ids)
+		sc.rec.Candidates = len(rep.JobIDs)
 		sc.rec.Score = rep.BaseScore
 		sc.rec.Reason = fmt.Sprintf("%d moves advised", len(rep.Moves))
 		// The top advised moves ride in the alternatives slots: Score is the
@@ -219,16 +192,12 @@ func (s *Scheduler) ApplyMove(m Move) error {
 	}
 	// ...using only contexts that are still healthy and still free (or the
 	// job's own).
-	own := make(map[topology.Context]bool, len(a.Placement))
-	for _, c := range a.Placement {
-		own[c] = true
-	}
 	for _, c := range m.To {
 		if h := s.healthLocked(c); h != Healthy {
 			return conflict(&MoveConflictError{JobID: m.JobID, Context: c, Health: h,
 				Reason: fmt.Sprintf("target context %v is %s", c, h)})
 		}
-		if owner, used := s.occupied[c]; used && !own[c] {
+		if owner := s.occupied[s.md.Topo.ContextIndex(c)]; owner != "" && owner != m.JobID {
 			return conflict(&MoveConflictError{JobID: m.JobID, Context: c, Owner: owner,
 				Reason: fmt.Sprintf("target context %v now belongs to %q", c, owner)})
 		}
@@ -240,12 +209,8 @@ func (s *Scheduler) ApplyMove(m Move) error {
 			return perr
 		}
 	}
-	for _, c := range a.Placement {
-		delete(s.occupied, c)
-	}
-	for _, c := range m.To {
-		s.occupied[c] = m.JobID
-	}
+	s.placeLocked("", a.Placement)
+	s.placeLocked(m.JobID, m.To)
 	a.Placement = append(placement.Placement(nil), m.To...)
 	metRebalanceApplied.Inc()
 	if sc.journaling {
@@ -276,13 +241,7 @@ func samePlacement(a, b placement.Placement) bool {
 }
 
 func sortContexts(p []topology.Context) {
-	sort.Slice(p, func(i, j int) bool {
-		if p[i].Socket != p[j].Socket {
-			return p[i].Socket < p[j].Socket
-		}
-		if p[i].Core != p[j].Core {
-			return p[i].Core < p[j].Core
-		}
-		return p[i].Slot < p[j].Slot
+	slices.SortFunc(p, func(a, b topology.Context) int {
+		return cmp.Or(cmp.Compare(a.Socket, b.Socket), cmp.Compare(a.Core, b.Core), cmp.Compare(a.Slot, b.Slot))
 	})
 }

@@ -16,7 +16,7 @@ package scheduler
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -135,15 +135,23 @@ type Scheduler struct {
 	md    *machine.Description
 	cfg   Config
 	clock obs.Clock
+	// contexts lists the machine's contexts in dense order: entry i is the
+	// context the per-context state below holds at index i.
+	contexts []topology.Context
 
 	mu sync.Mutex
 	//pandia:guardedby(mu)
 	running map[string]*Assignment
+	// occupied[i] is the ID of the job holding context i (indexed by
+	// Topo.ContextIndex), "" when the context is free.
 	//pandia:guardedby(mu)
-	occupied map[topology.Context]string
-	// health records non-healthy contexts; absence means Healthy.
+	occupied []string
+	// health[i] is context i's health; unhealthy counts the contexts that
+	// are not Healthy.
 	//pandia:guardedby(mu)
-	health map[topology.Context]Health
+	health []Health
+	//pandia:guardedby(mu)
+	unhealthy int
 	// tokens / lastRefill implement the admission token bucket.
 	//pandia:guardedby(mu)
 	tokens float64
@@ -160,6 +168,9 @@ type Scheduler struct {
 	// alongside co.
 	//pandia:guardedby(mu)
 	coCache *core.CoCache
+	// pipe is the candidate pipeline's scratch (pipeline.go).
+	//pandia:guardedby(mu)
+	pipe pipeline
 }
 
 // New builds a scheduler for the described machine.
@@ -172,14 +183,17 @@ func New(md *machine.Description, cfg Config) (*Scheduler, error) {
 	if clock == nil {
 		clock = obs.WallClock()
 	}
+	n := md.Topo.TotalContexts()
 	s := &Scheduler{
 		md:       md,
 		cfg:      cfg,
 		clock:    clock,
+		contexts: md.Topo.Contexts(),
 		running:  make(map[string]*Assignment),
-		occupied: make(map[topology.Context]string),
-		health:   make(map[topology.Context]Health),
+		occupied: make([]string, n),
+		health:   make([]Health, n),
 		co:       co,
+		pipe:     newPipeline(md.Topo),
 	}
 	if !cfg.DisablePredictionCache {
 		s.coCache = core.NewCoCache(0)
@@ -199,32 +213,26 @@ func (s *Scheduler) Machine() topology.Machine { return s.md.Topo }
 func (s *Scheduler) FreeContexts() []topology.Context {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.freeLocked()
+	return append([]topology.Context(nil), s.availLocked("")...)
 }
 
-func (s *Scheduler) freeLocked() []topology.Context {
-	var out []topology.Context
-	for _, c := range s.md.Topo.Contexts() {
-		if _, used := s.occupied[c]; used {
-			continue
-		}
-		if s.healthLocked(c) != Healthy {
-			continue
-		}
-		out = append(out, c)
+// placeLocked records owner on every context of p ("" frees them). The
+// caller must hold mu.
+func (s *Scheduler) placeLocked(owner string, p placement.Placement) {
+	for _, c := range p {
+		s.occupied[s.md.Topo.ContextIndex(c)] = owner
 	}
-	return out
 }
 
 // Assignments returns the running assignments sorted by job ID.
 func (s *Scheduler) Assignments() []*Assignment {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Assignment, 0, len(s.running))
-	for _, a := range s.running {
-		out = append(out, a)
+	ids, _ := s.mixLocked(0)
+	out := make([]*Assignment, len(ids))
+	for i, id := range ids {
+		out[i] = s.running[id]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Job.ID < out[j].Job.ID })
 	return out
 }
 
@@ -279,39 +287,18 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		}
 	}
 
-	free := s.freeLocked()
+	free := s.availLocked("")
 	if len(free) == 0 {
 		aerr := &AdmissionError{JobID: job.ID, Kind: AdmitNoCapacity,
 			Reason: "no free healthy hardware contexts"}
 		sc.rejected(aerr.Kind.String(), aerr.Reason)
 		return nil, aerr
 	}
-	counts := s.candidateCounts(job, len(free))
+	s.pipe.counts = s.candidateCounts(s.pipe.counts[:0], job, len(free))
 
-	type candidate struct {
-		place    placement.Placement
-		strategy string
-	}
 	sc.phase(SpanPhaseSweep, true)
-	busy := s.socketOccupancyLocked()
-	var candidates []candidate
-	for _, n := range counts {
-		for _, gen := range []struct {
-			name string
-			fn   func([]topology.Context, int, topology.Machine) placement.Placement
-		}{
-			{"pack", packFree},
-			{"spread", spreadFree},
-			{"quiet-socket", func(free []topology.Context, n int, m topology.Machine) placement.Placement {
-				return quietSocketFree(busy, free, n, m)
-			}},
-		} {
-			if p := gen.fn(free, n, s.md.Topo); p != nil {
-				candidates = append(candidates, candidate{p, gen.name})
-			}
-		}
-	}
-	if len(candidates) == 0 {
+	cands := s.candidatesLocked(free, s.pipe.counts...)
+	if len(cands) == 0 {
 		sc.phase(SpanPhaseSweep, false)
 		aerr := &AdmissionError{JobID: job.ID, Kind: AdmitNoCapacity,
 			Reason: fmt.Sprintf("no feasible placement (%d free contexts)", len(free))}
@@ -319,49 +306,37 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		return nil, aerr
 	}
 	if sc.journaling {
-		sc.rec.Candidates = len(candidates)
+		sc.rec.Candidates = len(cands)
 	}
 
-	// Joint prediction of each candidate with the running mix. The mix is
-	// assembled in sorted job-ID order: floating-point accumulation in the
-	// joint solver is order-sensitive, and scenario replays diff outcomes
-	// byte-for-byte, so iterating the running map directly would leak map
-	// order into the predictions.
-	base := s.jobsLocked()
+	// Joint prediction of each candidate with the running mix: the slab
+	// holds the running jobs in job-ID order and the candidate in its last
+	// slot, and the key prefix covers everything but that slot.
+	_, mix := s.mixLocked(1)
+	slot := len(mix) - 1
+	pre := s.keyPrefixLocked(mix, slot)
 	// baseBound is the running mix's summed Amdahl speedups: with the new
 	// job's own Amdahl bound added it upper-bounds any candidate's aggregate
 	// throughput (Speedup <= AmdahlSpeedup per job, pinned by the model
 	// invariants), which lets clearly dominated candidates skip the joint
 	// solve below.
 	baseBound := 0.0
-	for _, pw := range base {
+	for _, pw := range mix[:slot] {
 		baseBound += pw.Workload.AmdahlSpeedup(len(pw.Placement))
 	}
 
-	bestScore := -1.0
-	var best *Assignment
-	// bestAny is the best candidate ignoring the threshold/SLO policies —
-	// what AdmitDegraded falls back to when nothing passes.
-	bestAnyScore := -1.0
-	var bestAny *Assignment
-	var policyViolations []string
+	// best and bestAny index evals: the best candidate passing the
+	// threshold/SLO policies, and the best ignoring them — what
+	// AdmitDegraded falls back to when nothing passes.
+	best, bestAny := -1, -1
+	bestScore, bestAnyScore := -1.0, -1.0
 	sawSLO := false
-	// evals mirrors every solved candidate for the journal's top-k
-	// alternatives; nil (nothing collected) unless journaling.
-	type candEval struct {
-		placement, strategy string
-		score, slowdown     float64
-		reject              string
-	}
-	var evals []candEval
+	evals := s.pipe.evals[:0]
 	var prunedHere int64
-	seen := make(map[string]bool)
-	for _, cand := range candidates {
-		key := cand.place.String()
-		if seen[key] {
+	for k, cand := range cands {
+		if repeats(cands, k) {
 			continue
 		}
-		seen[key] = true
 		// Dominance pruning: a candidate whose Amdahl upper bound cannot
 		// strictly beat both incumbents can change neither best nor bestAny
 		// (both require score > incumbent), so the solve is skipped. Both
@@ -372,75 +347,54 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 			prunedHere++
 			continue
 		}
-		jobs := append(append([]core.PlacedWorkload(nil), base...),
-			core.PlacedWorkload{Workload: job.Workload, Placement: cand.place})
-		co, err := s.predictMixLocked(jobs, sc.id)
+		mix[slot] = core.PlacedWorkload{Workload: job.Workload, Placement: cand.place}
+		co, err := s.predictSlotLocked(pre, mix, slot, sc.id)
 		if err != nil {
 			sc.phase(SpanPhaseSweep, false)
 			sc.errored(err)
 			return nil, err
 		}
-		score := aggregateThroughput(co)
+		ev := candEval{cand: k, pred: co.Predictions[slot], score: aggregateThroughput(co),
+			oversub: co.WorstOversubscription}
 		// The SLO metric doubles as the journal's per-candidate slowdown, so
 		// compute it whenever either consumer wants it.
-		slow := 0.0
 		if s.cfg.SlowdownSLO > 0 || sc.journaling {
-			slow = worstSlowdown(co)
+			ev.slowdown = worstSlowdown(co)
 		}
-		asgn := &Assignment{
-			Job:        job,
-			Placement:  cand.place,
-			Prediction: co.Predictions[len(jobs)-1],
-			Strategy:   cand.strategy,
+		ev.overThreshold = s.cfg.AdmissionThreshold > 0 && ev.oversub > s.cfg.AdmissionThreshold
+		ev.overSLO = !ev.overThreshold && s.cfg.SlowdownSLO > 0 && ev.slowdown > s.cfg.SlowdownSLO
+		sawSLO = sawSLO || ev.overSLO
+		evals = append(evals, ev)
+		if ev.score > bestAnyScore {
+			bestAnyScore, bestAny = ev.score, len(evals)-1
 		}
-		if score > bestAnyScore {
-			bestAnyScore = score
-			bestAny = asgn
-		}
-		var reject string
-		if s.cfg.AdmissionThreshold > 0 && co.WorstOversubscription > s.cfg.AdmissionThreshold {
-			reject = fmt.Sprintf(
-				"%s: oversubscription %.2f > threshold %.2f", cand.strategy,
-				co.WorstOversubscription, s.cfg.AdmissionThreshold)
-		} else if s.cfg.SlowdownSLO > 0 && slow > s.cfg.SlowdownSLO {
-			reject = fmt.Sprintf(
-				"%s: worst slowdown %.2f > SLO %.2f", cand.strategy, slow, s.cfg.SlowdownSLO)
-			sawSLO = true
-		}
-		if sc.journaling {
-			evals = append(evals, candEval{
-				placement: key, strategy: cand.strategy,
-				score: score, slowdown: slow, reject: reject,
-			})
-		}
-		if reject != "" {
-			policyViolations = append(policyViolations, reject)
-			continue
-		}
-		if score > bestScore {
-			bestScore = score
-			best = asgn
+		if !ev.overThreshold && !ev.overSLO && ev.score > bestScore {
+			bestScore, best = ev.score, len(evals)-1
 		}
 	}
+	s.pipe.evals = evals
 	sc.phase(SpanPhaseSweep, false)
 	if sc.journaling {
 		sc.rec.Pruned = prunedHere
 	}
-	if best == nil {
-		if !s.cfg.AdmitDegraded || bestAny == nil {
+	if best < 0 {
+		if !s.cfg.AdmitDegraded || bestAny < 0 {
 			kind := AdmitOversubscribed
 			if sawSLO {
 				kind = AdmitSLOExceeded
 				metRejectSLO.Inc()
 			}
+			var violations []string
+			for i := range evals {
+				if v := s.violation(cands, &evals[i]); v != "" {
+					violations = append(violations, v)
+				}
+			}
 			aerr := &AdmissionError{JobID: job.ID, Kind: kind,
-				Reason: "every candidate violates admission policy: " + strings.Join(policyViolations, "; ")}
+				Reason: "every candidate violates admission policy: " + strings.Join(violations, "; ")}
 			if sc.journaling {
-				for _, ev := range evals {
-					sc.rec.AddAlternative(obs.Alternative{
-						Placement: ev.placement, Strategy: ev.strategy,
-						Score: ev.score, Slowdown: ev.slowdown, Reject: ev.reject,
-					})
+				for i := range evals {
+					sc.rec.AddAlternative(s.alternative(cands, &evals[i]))
 				}
 				sc.rejected(aerr.Kind.String(), aerr.Reason)
 				if kind == AdmitSLOExceeded {
@@ -454,8 +408,15 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 			"admission: every candidate violates admission policy, admitted degraded")
 	}
 
+	chosen := cands[evals[best].cand]
+	asgn = &Assignment{
+		Job:        job,
+		Placement:  slices.Clone(chosen.place),
+		Prediction: evals[best].pred,
+		Strategy:   chosen.strategy,
+	}
 	if s.cfg.PlacementCheck != nil {
-		if cerr := s.cfg.PlacementCheck(best.Placement); cerr != nil {
+		if cerr := s.cfg.PlacementCheck(asgn.Placement); cerr != nil {
 			metRejectCheck.Inc()
 			perr := &PlacementCheckError{JobID: job.ID, Err: cerr}
 			sc.rejected("placement-check", perr.Error())
@@ -464,42 +425,66 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 	}
 
 	if len(degradedReasons) > 0 {
-		best.Degraded = true
-		best.DegradedReasons = degradedReasons
+		asgn.Degraded = true
+		asgn.DegradedReasons = degradedReasons
 		metDegradedAdmits.Inc()
 	}
-	s.running[job.ID] = best
-	for _, c := range best.Placement {
-		s.occupied[c] = job.ID
-	}
+	s.running[job.ID] = asgn
+	s.placeLocked(job.ID, asgn.Placement)
 	metRunningJobs.Set(float64(len(s.running)))
 	if sc.journaling {
-		chosen := best.Placement.String()
-		matched := false
-		for _, ev := range evals {
-			if !matched && ev.placement == chosen && ev.strategy == best.Strategy {
-				matched = true
-				sc.rec.Score = ev.score
-				continue
+		for i := range evals {
+			if i != best {
+				sc.rec.AddAlternative(s.alternative(cands, &evals[i]))
 			}
-			sc.rec.AddAlternative(obs.Alternative{
-				Placement: ev.placement, Strategy: ev.strategy,
-				Score: ev.score, Slowdown: ev.slowdown, Reject: ev.reject,
-			})
 		}
-		sc.rec.Placement = chosen
-		sc.rec.Strategy = best.Strategy
+		sc.rec.Score = evals[best].score
+		sc.rec.Placement = asgn.Placement.String()
+		sc.rec.Strategy = asgn.Strategy
 		sc.rec.Outcome = "admitted"
-		if best.Degraded {
+		if asgn.Degraded {
 			sc.rec.Outcome = "admitted-degraded"
-			sc.rec.Reason = strings.Join(best.DegradedReasons, "; ")
+			sc.rec.Reason = strings.Join(asgn.DegradedReasons, "; ")
 		}
 		sc.record()
-		if best.Degraded {
-			sc.incident("degraded-admission", job.ID, strings.Join(best.DegradedReasons, "; "))
+		if asgn.Degraded {
+			sc.incident("degraded-admission", job.ID, strings.Join(asgn.DegradedReasons, "; "))
 		}
 	}
-	return best, nil
+	return asgn, nil
+}
+
+// candEval is one jointly scored Submit candidate: cand indexes the
+// candidates, pred is the new job's own joint prediction, and the policy
+// flags mark the AdmissionThreshold or SlowdownSLO violation whose text
+// violation formats only when it is read.
+type candEval struct {
+	cand                     int
+	pred                     *core.Prediction
+	score, slowdown, oversub float64
+	overThreshold, overSLO   bool
+}
+
+// violation renders a candidate's policy violation ("" when it has none).
+func (s *Scheduler) violation(cands []candidate, ev *candEval) string {
+	switch {
+	case ev.overThreshold:
+		return fmt.Sprintf("%s: oversubscription %.2f > threshold %.2f",
+			cands[ev.cand].strategy, ev.oversub, s.cfg.AdmissionThreshold)
+	case ev.overSLO:
+		return fmt.Sprintf("%s: worst slowdown %.2f > SLO %.2f",
+			cands[ev.cand].strategy, ev.slowdown, s.cfg.SlowdownSLO)
+	}
+	return ""
+}
+
+// alternative renders a scored candidate as a journal alternative.
+func (s *Scheduler) alternative(cands []candidate, ev *candEval) obs.Alternative {
+	c := cands[ev.cand]
+	return obs.Alternative{
+		Placement: c.place.String(), Strategy: c.strategy,
+		Score: ev.score, Slowdown: ev.slowdown, Reject: s.violation(cands, ev),
+	}
 }
 
 // burst returns the token bucket capacity (at least one token).
@@ -553,9 +538,7 @@ func (s *Scheduler) Remove(jobID string) error {
 	if !ok {
 		return fmt.Errorf("scheduler: job %q not running", jobID)
 	}
-	for _, c := range a.Placement {
-		delete(s.occupied, c)
-	}
+	s.placeLocked("", a.Placement)
 	delete(s.running, jobID)
 	metRunningJobs.Set(float64(len(s.running)))
 	return nil
@@ -567,7 +550,7 @@ func (s *Scheduler) Remove(jobID string) error {
 func (s *Scheduler) Predict() (*core.CoPrediction, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	jobs := s.jobsLocked()
+	_, jobs := s.mixLocked(0)
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("scheduler: nothing running")
 	}
@@ -584,39 +567,6 @@ func (s *Scheduler) Predict() (*core.CoPrediction, error) {
 		sc.rec.Score = aggregateThroughput(co)
 		sc.record()
 	}
-	return co, nil
-}
-
-// predictMixLocked jointly predicts one mix through the shared prediction
-// cache: a canonical-hash hit returns the exact CoPrediction an earlier
-// solve produced (callers treat it as read-only), a miss solves on the
-// pooled CoPredictor and stores the result. span is the requesting
-// operation's decision id (0 outside one): it brackets the cache lookup in
-// a span and rides into the solver's trace events, but is excluded from the
-// cache key (DESIGN.md §12). The caller must hold mu.
-func (s *Scheduler) predictMixLocked(jobs []core.PlacedWorkload, span int64) (*core.CoPrediction, error) {
-	s.co.SetSpan(span)
-	if s.coCache == nil {
-		return s.co.Predict(jobs)
-	}
-	tr := s.cfg.Tracer
-	tracing := span != 0 && tr != nil && tr.Enabled()
-	if tracing {
-		tr.Emit(obs.Event{Kind: obs.EvSpanBegin, Span: span, Arg: SpanPhaseCache, Job: spanRow})
-	}
-	key, verify := s.coCache.Key(s.md, jobs, s.co.Options())
-	cached, ok := s.coCache.Lookup(key, verify)
-	if tracing {
-		tr.Emit(obs.Event{Kind: obs.EvSpanEnd, Span: span, Arg: SpanPhaseCache, Job: spanRow})
-	}
-	if ok {
-		return cached, nil
-	}
-	co, err := s.co.Predict(jobs)
-	if err != nil {
-		return nil, err
-	}
-	s.coCache.Store(key, verify, co)
 	return co, nil
 }
 
@@ -643,32 +593,15 @@ func (s *Scheduler) PredictionCacheStats() core.CacheStats {
 	return s.coCache.Stats()
 }
 
-// jobsLocked copies the running mix in deterministic job-ID order. The
-// caller must hold mu.
-func (s *Scheduler) jobsLocked() []core.PlacedWorkload {
-	jobs := make([]core.PlacedWorkload, 0, len(s.running))
-	ids := make([]string, 0, len(s.running))
-	for id := range s.running {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		a := s.running[id]
-		jobs = append(jobs, core.PlacedWorkload{Workload: a.Job.Workload, Placement: a.Placement})
-	}
-	return jobs
-}
-
-// candidateCounts resolves the thread-count ladder for a job.
-func (s *Scheduler) candidateCounts(job Job, free int) []int {
+// candidateCounts appends the thread-count ladder for a job to out.
+func (s *Scheduler) candidateCounts(out []int, job Job, free int) []int {
 	if job.Threads > 0 {
 		if job.Threads > free {
-			return nil
+			return out
 		}
-		return []int{job.Threads}
+		return append(out, job.Threads)
 	}
 	if len(s.cfg.CandidateThreadCounts) > 0 {
-		var out []int
 		for _, n := range s.cfg.CandidateThreadCounts {
 			if n >= 1 && n <= free {
 				out = append(out, n)
@@ -676,7 +609,6 @@ func (s *Scheduler) candidateCounts(job Job, free int) []int {
 		}
 		return out
 	}
-	var out []int
 	for n := 1; n <= free; n *= 2 {
 		out = append(out, n)
 	}
@@ -697,87 +629,4 @@ func aggregateThroughput(co *core.CoPrediction) float64 {
 		sum += p.Speedup
 	}
 	return sum
-}
-
-// packFree takes the first n free contexts in dense order.
-func packFree(free []topology.Context, n int, _ topology.Machine) placement.Placement {
-	if n > len(free) {
-		return nil
-	}
-	return placement.Placement(append([]topology.Context(nil), free[:n]...))
-}
-
-// spreadFree prefers whole idle cores round-robin across sockets, then
-// second contexts.
-func spreadFree(free []topology.Context, n int, m topology.Machine) placement.Placement {
-	if n > len(free) {
-		return nil
-	}
-	freeSet := make(map[topology.Context]bool, len(free))
-	for _, c := range free {
-		freeSet[c] = true
-	}
-	var first, second []topology.Context
-	for slot := 0; slot < m.ThreadsPerCore; slot++ {
-		for core := 0; core < m.CoresPerSocket; core++ {
-			for sock := 0; sock < m.Sockets; sock++ {
-				c := topology.Context{Socket: sock, Core: core, Slot: slot}
-				if !freeSet[c] {
-					continue
-				}
-				if slot == 0 {
-					first = append(first, c)
-				} else {
-					second = append(second, c)
-				}
-			}
-		}
-	}
-	ordered := append(first, second...)
-	if n > len(ordered) {
-		return nil
-	}
-	return placement.Placement(ordered[:n])
-}
-
-// socketOccupancyLocked counts occupied contexts per socket — the foreign-
-// occupancy snapshot quiet-socket placement ranks sockets by.
-func (s *Scheduler) socketOccupancyLocked() []int {
-	busy := make([]int, s.md.Topo.Sockets)
-	for c := range s.occupied {
-		busy[c.Socket]++
-	}
-	return busy
-}
-
-// quietSocketFree fills sockets in increasing order of foreign occupancy
-// (busy[socket] = occupied contexts, snapshotted under the scheduler lock),
-// isolating the new job from running ones where possible.
-func quietSocketFree(busy []int, free []topology.Context, n int, m topology.Machine) placement.Placement {
-	if n > len(free) {
-		return nil
-	}
-	order := make([]int, m.Sockets)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return busy[order[a]] < busy[order[b]] })
-
-	bySocket := make([][]topology.Context, m.Sockets)
-	for _, c := range free {
-		bySocket[c.Socket] = append(bySocket[c.Socket], c)
-	}
-	var out placement.Placement
-	for _, sock := range order {
-		for _, c := range bySocket[sock] {
-			if len(out) == n {
-				return out
-			}
-			out = append(out, c)
-		}
-	}
-	if len(out) == n {
-		return out
-	}
-	return nil
 }
