@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"pandia/internal/obs"
 	"pandia/internal/placement"
@@ -201,12 +200,7 @@ func (s *Scheduler) Cordon(ctxs ...topology.Context) (int, error) {
 	sc := s.beginOpLocked("cordon", "")
 	defer sc.end()
 	n := s.cordonLocked(ctxs)
-	if sc.journaling {
-		sc.rec.Outcome = "applied"
-		sc.rec.Placement = placement.Placement(ctxs).String()
-		sc.rec.Reason = fmt.Sprintf("%d newly cordoned", n)
-		sc.record()
-	}
+	sc.applied(ctxs, nil, "", "%d newly cordoned", n)
 	return n, nil
 }
 
@@ -249,12 +243,7 @@ func (s *Scheduler) Uncordon(ctxs ...topology.Context) (int, error) {
 		}
 	}
 	metUncordons.Add(int64(n))
-	if sc.journaling {
-		sc.rec.Outcome = "applied"
-		sc.rec.Placement = placement.Placement(ctxs).String()
-		sc.rec.Reason = fmt.Sprintf("%d returned to service", n)
-		sc.record()
-	}
+	sc.applied(ctxs, nil, "", "%d returned to service", n)
 	return n, nil
 }
 
@@ -302,25 +291,9 @@ func (s *Scheduler) Fail(ctxs ...topology.Context) (*EvictionReport, error) {
 	for _, id := range s.affectedLocked(ctxs) {
 		rep.Evicted = append(rep.Evicted, s.evictLocked(&sc, id, "context failed"))
 	}
-	if sc.journaling {
-		sc.rec.Outcome = "applied"
-		sc.rec.Placement = placement.Placement(rep.Failed).String()
-		sc.rec.Reason = fmt.Sprintf("%d contexts failed, %d jobs evicted", len(rep.Failed), len(rep.Evicted))
-		sc.record()
-		if ids := evictedIDs(rep.Evicted); len(ids) > 0 {
-			sc.incident("eviction", strings.Join(ids, ","), "context failure evicted "+strings.Join(ids, ", "))
-		}
-	}
+	sc.applied(rep.Failed, rep.Evicted, "context failure",
+		"%d contexts failed, %d jobs evicted", len(rep.Failed), len(rep.Evicted))
 	return rep, nil
-}
-
-// evictedIDs lists the evicted jobs' IDs in report order.
-func evictedIDs(evs []Eviction) []string {
-	ids := make([]string, len(evs))
-	for i, ev := range evs {
-		ids[i] = ev.JobID
-	}
-	return ids
 }
 
 // FailSocket fails every context of one socket.
@@ -359,10 +332,7 @@ func (s *Scheduler) evictLocked(sc *opScope, id, reason string) Eviction {
 	delete(s.running, id)
 	metRunningJobs.Set(float64(len(s.running)))
 	metEvictions.Inc()
-	sc.child(obs.DecisionRecord{
-		Op: "evict", Job: id, Outcome: "evicted", Reason: "eviction",
-		Cause: reason, Placement: ev.Placement.String(),
-	})
+	sc.child(obs.DecisionRecord{Op: "evict", Job: id, Outcome: "evicted", Reason: "eviction", Cause: reason}, ev.Placement, nil)
 	return ev
 }
 
@@ -395,15 +365,8 @@ func (s *Scheduler) Drain(ctxs []topology.Context, opt DrainOptions) (*DrainRepo
 		}
 		s.drainJobLocked(&sc, id, opt, rep)
 	}
-	if sc.journaling {
-		sc.rec.Outcome = "applied"
-		sc.rec.Placement = placement.Placement(rep.Drained).String()
-		sc.rec.Reason = fmt.Sprintf("%d migrated, %d evicted", len(rep.Migrated), len(rep.Evicted))
-		sc.record()
-		if ids := evictedIDs(rep.Evicted); len(ids) > 0 {
-			sc.incident("eviction", strings.Join(ids, ","), "drain evicted "+strings.Join(ids, ", "))
-		}
-	}
+	sc.applied(rep.Drained, rep.Evicted, "drain",
+		"%d migrated, %d evicted", len(rep.Migrated), len(rep.Evicted))
 	return rep, nil
 }
 
@@ -420,7 +383,11 @@ func (s *Scheduler) DrainSocket(sock int, opt DrainOptions) (*DrainReport, error
 // rep. The caller must hold mu.
 func (s *Scheduler) drainJobLocked(sc *opScope, id string, opt DrainOptions, rep *DrainReport) {
 	a := s.running[id]
-	cand := s.bestMigrationLocked(id, a, sc.id)
+	cand, err := s.bestMigrationLocked(id, len(a.Placement), sc.id)
+	if err != nil {
+		rep.Evicted = append(rep.Evicted, s.evictLocked(sc, id, "migration search failed: "+err.Error()))
+		return
+	}
 	if cand == nil {
 		rep.Evicted = append(rep.Evicted, s.evictLocked(sc, id, "no feasible placement off drained contexts"))
 		return
@@ -439,10 +406,7 @@ func (s *Scheduler) drainJobLocked(sc *opScope, id string, opt DrainOptions, rep
 			a.Placement = append(placement.Placement(nil), cand...)
 			rep.Migrated = append(rep.Migrated, Migration{JobID: id, From: from, To: cand, Attempts: attempts})
 			metMigrations.Inc()
-			sc.child(obs.DecisionRecord{
-				Op: "migrate", Job: id, Outcome: "migrated",
-				Cause: "from " + from.String(), Placement: cand.String(),
-			})
+			sc.child(obs.DecisionRecord{Op: "migrate", Job: id, Outcome: "migrated"}, cand, from)
 			return
 		}
 		if attempts > opt.MaxRetries {
@@ -461,55 +425,21 @@ func (s *Scheduler) drainJobLocked(sc *opScope, id string, opt DrainOptions, rep
 	}
 }
 
-// bestMigrationLocked picks the best re-placement for one job over the free
-// healthy contexts plus the job's own healthy, non-cordoned contexts,
+// bestMigrationLocked picks the best re-placement of n threads for one
+// job over the free healthy contexts plus the job's own healthy contexts,
 // scored by joint predicted aggregate throughput with everything else
-// fixed. nil means no feasible placement. span is the requesting decision's
-// id for trace attribution. The caller must hold mu.
-func (s *Scheduler) bestMigrationLocked(id string, a *Assignment, span int64) placement.Placement {
-	avail := s.availLocked(id)
-	n := len(a.Placement)
-	if n > len(avail) {
-		return nil
-	}
+// fixed; admission policies do not apply. nil means no feasible placement.
+// span is the requesting decision's id for trace attribution. The caller
+// must hold mu.
+func (s *Scheduler) bestMigrationLocked(id string, n int, span int64) (placement.Placement, error) {
+	cands := s.candidatesLocked(id, s.availLocked(id), n)
 	ids, mix := s.mixLocked(0)
 	slot, _ := slices.BinarySearch(ids, id)
-	pre := s.keyPrefixLocked(mix, slot)
-
-	// Every candidate keeps the other jobs' placements and the moved job's
-	// thread count fixed, so all candidates share one Amdahl upper bound on
-	// the aggregate score. Once a candidate reaches it, the rest cannot
-	// strictly beat it and are skipped (ties keep the first, exactly as the
-	// strict > below would).
-	idealBound := 0.0
-	for _, pw := range mix {
-		idealBound += pw.Workload.AmdahlSpeedup(len(pw.Placement))
+	r, err := s.scoreLocked(cands, mix, slot, s.keyPrefixLocked(mix, slot), span, scorePrune)
+	if err != nil || r.best < 0 {
+		return nil, err
 	}
-
-	bestScore := math.Inf(-1)
-	best := -1
-	cands := s.candidatesLocked(avail, n)
-	for k, cand := range cands {
-		if repeats(cands, k) {
-			continue
-		}
-		if bestScore >= idealBound {
-			metCandidatesPruned.Inc()
-			continue
-		}
-		mix[slot].Placement = cand.place
-		co, err := s.predictSlotLocked(pre, mix, slot, span)
-		if err != nil {
-			continue
-		}
-		if score := aggregateThroughput(co); score > bestScore {
-			bestScore, best = score, k
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	return slices.Clone(cands[best].place)
+	return slices.Clone(cands[r.evals[r.best].cand].place), nil
 }
 
 // CheckConsistency verifies the scheduler's structural invariants: the
