@@ -98,3 +98,70 @@ func BenchmarkSubmitUncached(b *testing.B) {
 		submitRemove(b, s, job)
 	}
 }
+
+// warmFour is warmMix with its fourth job admitted too: the 4-job X5-2
+// mix, returned with the jobs in the order that rebuilds it.
+func warmFour(tb testing.TB) (*Scheduler, []Job) {
+	tb.Helper()
+	s, job := warmMix(tb, Config{})
+	if _, err := s.Submit(job); err != nil {
+		tb.Fatal(err)
+	}
+	var jobs []Job
+	for _, a := range s.Assignments() {
+		jobs = append(jobs, a.Job)
+	}
+	return s, jobs
+}
+
+// BenchmarkRebalance is one warm Rebalance of the 4-job X5-2 mix: every
+// job's candidates are joint-cache hits after the first call.
+func BenchmarkRebalance(b *testing.B) {
+	s, _ := warmFour(b)
+	if _, err := s.Rebalance(0.02); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Rebalance(0.02); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDrain is one warm drain of socket 0 under the 4-job X5-2 mix.
+// Between drains the mix is rebuilt by resubmitting its jobs in order,
+// which reproduces the same placements; only the drain is timed.
+func BenchmarkDrain(b *testing.B) {
+	s, jobs := warmFour(b)
+	rebuild := func() {
+		for _, a := range s.Assignments() {
+			if err := s.Remove(a.Job.ID); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := s.UncordonSocket(0); err != nil {
+			b.Fatal(err)
+		}
+		for _, j := range jobs {
+			if _, err := s.Submit(j); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	drain := func() {
+		if _, err := s.DrainSocket(0, DrainOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	drain()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rebuild()
+		b.StartTimer()
+		drain()
+	}
+}
