@@ -79,7 +79,7 @@ bench:
 # sensitive micro-benchmarks, parsed but not recorded, so a broken bench or
 # parser fails the gate without paying for a full measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkPredictTimeWarm$$|BenchmarkCacheHit$$|BenchmarkSweepPruned$$' -benchtime 5x -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse$$|BenchmarkPredictorReuseX24$$|BenchmarkPredictTimeWarm$$|BenchmarkCacheHit$$|BenchmarkSweepPruned$$' -benchtime 5x -benchmem . \
 	  | $(GO) run ./cmd/pandia-benchjson -label smoke -out ''
 
 # bench-gate is the perf/observability overhead gate: the fast paths must
@@ -96,7 +96,7 @@ bench-smoke:
 BENCH_TOLERANCE ?= 0.35
 bench-gate:
 	$(GO) build -o /tmp/pandia-benchjson ./cmd/pandia-benchjson
-	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse' -benchmem -count=5 . \
+	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse$$' -benchmem -count=5 . \
 	  | /tmp/pandia-benchjson -gate current -gate-tolerance $(BENCH_TOLERANCE) -zero-alloc BenchmarkPredictorReuse -out BENCH_core.json
 	$(GO) test -run '^$$' -bench 'BenchmarkPredictTimeWarm$$|BenchmarkCacheHit$$|BenchmarkSweepPruned$$' -benchmem -count=5 . \
 	  | /tmp/pandia-benchjson -gate current -gate-tolerance $(BENCH_TOLERANCE) -zero-alloc BenchmarkPredictTimeWarm,BenchmarkCacheHit -out BENCH_core.json

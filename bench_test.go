@@ -392,6 +392,37 @@ func BenchmarkPredictorReuse(b *testing.B) {
 	}
 }
 
+// BenchmarkPredictorReuseX24 is BenchmarkPredictorReuse on the four-socket
+// X2-4: one pooled Predictor re-predicting the full 80-thread machine, the
+// solver layer under the advise workload's Recommend. It should also read
+// 0 allocs/op.
+func BenchmarkPredictorReuseX24(b *testing.B) {
+	h := harnessFor(b, "x2-4")
+	e := entriesNamed(b, "CG")[0]
+	prof, err := h.Profile(e)
+	if err != nil {
+		b.Fatal(err)
+	}
+	place, err := placement.Spread(h.TB.Machine(), h.TB.Machine().TotalContexts())
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := core.NewPredictor(h.MD, &prof.Workload, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := p.PredictTime(place); err != nil { // warm the scratch
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.PredictTime(place); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPredictSweep measures the batched fast-path sweep over the
 // harness's whole evaluation placement set (the §6.3 scenario: thousands of
 // candidate placements per workload).

@@ -8,6 +8,11 @@
 // place, so "baseline" stays pinned while "current" follows the tree. With
 // -out "" the parsed run is printed and nothing is written (CI smoke mode).
 //
+// Each run carries a host stamp: GOMAXPROCS (parsed from the -N suffix go
+// test appends to benchmark names), NumCPU and the Go version. In gate mode
+// a missing or different stamp on the reference run is printed as a note;
+// it does not change the verdict.
+//
 // Repeated lines of one benchmark (go test -count=N) collapse to the
 // fastest: external load only inflates measurements, so min-of-N is the
 // noise-robust estimator on shared hosts, applied identically when
@@ -26,7 +31,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -50,6 +57,12 @@ type Run struct {
 	Date  string `json:"date"`
 	Goos  string `json:"goos,omitempty"`
 	Cpu   string `json:"cpu,omitempty"`
+	// GOMAXPROCS, NumCPU and GoVersion stamp the host configuration the
+	// run was measured under. GOMAXPROCS is 0 when the run's lines
+	// disagree (go test -cpu with several values).
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	NumCPU     int    `json:"numCPU,omitempty"`
+	GoVersion  string `json:"goVersion,omitempty"`
 	// Benchmarks is every benchmark parsed from the run, in input order.
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
@@ -73,6 +86,8 @@ func main() {
 		os.Exit(1)
 	}
 	collapseBest(run)
+	run.NumCPU = runtime.NumCPU()
+	run.GoVersion = runtime.Version()
 	run.Label = *label
 	run.Date = time.Now().UTC().Format("2006-01-02")
 	if len(run.Benchmarks) == 0 {
@@ -146,17 +161,20 @@ func runGate(run *Run, file, label string, tol float64, zeroAlloc string) error 
 		return fmt.Errorf("%s is not a bench file: %w", file, err)
 	}
 	ref := make(map[string]Benchmark)
-	found := false
-	for _, r := range f.Runs {
+	var refRun *Run
+	for i, r := range f.Runs {
 		if r.Label == label {
-			found = true
+			refRun = &f.Runs[i]
 			for _, b := range r.Benchmarks {
 				ref[b.Name] = b
 			}
 		}
 	}
-	if !found {
+	if refRun == nil {
 		return fmt.Errorf("no run labelled %q in %s", label, file)
+	}
+	if note := stampNote(refRun, run); note != "" {
+		fmt.Println(note)
 	}
 
 	mustZero := make(map[string]bool)
@@ -197,10 +215,30 @@ func runGate(run *Run, file, label string, tol float64, zeroAlloc string) error 
 	return nil
 }
 
+// stampNote describes how the reference run's host stamp differs from the
+// current run's, or returns "" when they match. A stamp is the run's
+// GOMAXPROCS, NumCPU and Go version; a reference recorded before runs were
+// stamped has none.
+func stampNote(ref, cur *Run) string {
+	if ref.GOMAXPROCS == cur.GOMAXPROCS && ref.NumCPU == cur.NumCPU && ref.GoVersion == cur.GoVersion {
+		return ""
+	}
+	return fmt.Sprintf("note: reference run %q is %s, this run is %s; timings may not compare",
+		ref.Label, stamp(ref), stamp(cur))
+}
+
+func stamp(r *Run) string {
+	if r.GOMAXPROCS == 0 && r.NumCPU == 0 && r.GoVersion == "" {
+		return "unstamped"
+	}
+	return fmt.Sprintf("GOMAXPROCS=%d NumCPU=%d %s", r.GOMAXPROCS, r.NumCPU, r.GoVersion)
+}
+
 // parse reads `go test -bench` output and extracts benchmark lines plus the
-// goos/cpu header fields.
-func parse(r *os.File) (*Run, error) {
+// goos/cpu header fields and the run's GOMAXPROCS.
+func parse(r io.Reader) (*Run, error) {
 	run := &Run{}
+	mixedProcs := false
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -224,7 +262,14 @@ func parse(r *os.File) (*Run, error) {
 		if err != nil {
 			continue
 		}
-		b := Benchmark{Name: trimProcSuffix(fields[0]), Iterations: iters}
+		name, procs := splitProcSuffix(fields[0])
+		switch {
+		case len(run.Benchmarks) == 0:
+			run.GOMAXPROCS = procs
+		case procs != run.GOMAXPROCS:
+			mixedProcs = true
+		}
+		b := Benchmark{Name: name, Iterations: iters}
 		for i := 2; i+1 < len(fields); i += 2 {
 			val, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -251,6 +296,9 @@ func parse(r *os.File) (*Run, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	if mixedProcs {
+		run.GOMAXPROCS = 0
+	}
 	return run, nil
 }
 
@@ -276,15 +324,17 @@ func collapseBest(run *Run) {
 	run.Benchmarks = kept
 }
 
-// trimProcSuffix drops the -GOMAXPROCS suffix Go appends to benchmark names
-// on multi-CPU machines, so names are stable across hosts.
-func trimProcSuffix(name string) string {
+// splitProcSuffix drops the -GOMAXPROCS suffix Go appends to benchmark
+// names on multi-CPU machines, so names are stable across hosts, and
+// returns the GOMAXPROCS it named. Go appends no suffix at GOMAXPROCS=1.
+func splitProcSuffix(name string) (string, int) {
 	i := strings.LastIndex(name, "-")
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], procs
 }

@@ -55,23 +55,34 @@ type job struct {
 	// socket count.
 	sockLock []float64
 	sockInd  []float64
-	sCap     float64
+	// sockWorst and sockKind hold, per socket the job runs on, the largest
+	// socket-level load/capacity factor a thread there sees (L3 aggregate,
+	// then DRAM and interconnect over the job's memory sockets) and its
+	// kind; socketWorst refills them once per iteration.
+	sockWorst []float64
+	sockKind  []topology.ResourceKind
+	sCap      float64
 	// capLocked marks a restored warm-start job whose sCap was captured by a
 	// previous solve's first iteration: iterate must keep that cap instead of
 	// re-deriving it from the (already converged) warm state, or the cap of
 	// §5.4 would be recomputed from capped values and drift.
 	capLocked bool
 
-	// buf is the slab backing all the job's float64 scratch above: carving
-	// one allocation keeps a cold bind to a single make instead of nine.
-	buf []float64
+	// buf is the slab backing all the job's float64 scratch above, and
+	// kinds the one backing bottleneck and sockKind: carving keeps a cold
+	// bind to two makes instead of twelve.
+	buf   []float64
+	kinds []topology.ResourceKind
 }
 
-// carve re-slices the job's float scratch out of one slab sized for n
-// threads on nSock sockets, growing the slab only when a larger placement
-// arrives. Contents are unspecified; bind and iterate write before reading.
+// carve re-slices the job's float and kind scratch out of two slabs sized
+// for n threads on nSock sockets, growing a slab only when a larger
+// placement arrives. Contents are unspecified; bind and iterate write
+// before reading.
 func (j *job) carve(n, nSock int) {
-	need := 7*n + 2*nSock
+	j.kinds = growKinds(j.kinds, n+nSock)
+	j.bottleneck, j.sockKind = j.kinds[:n:n], j.kinds[n:]
+	need := 7*n + 3*nSock
 	if cap(j.buf) < need {
 		j.buf = make([]float64, need) //alloccheck:ok slab grows once per larger placement; steady state reuses it
 	}
@@ -84,7 +95,8 @@ func (j *job) carve(n, nSock int) {
 	j.lbPen, b = b[:n:n], b[n:]
 	j.inv, b = b[:n:n], b[n:]
 	j.sockLock, b = b[:nSock:nSock], b[nSock:]
-	j.sockInd = b[:nSock:nSock]
+	j.sockInd, b = b[:nSock:nSock], b[nSock:]
+	j.sockWorst = b[:nSock:nSock]
 }
 
 // engine runs the iterative prediction of §5 for one or more workloads
@@ -105,6 +117,12 @@ type engine struct {
 
 	nCores int
 	nSock  int
+
+	// pair is the dense socket-pair table: pair[a*nSock+b] is the
+	// interconnect index Topo.PairIndex(a, b), and -1 on the diagonal. It is
+	// the engine's one pair-index source, so the hot loops index a row of
+	// it instead of recomputing the canonical pair per (thread, socket).
+	pair []int
 
 	// coreOcc counts all jobs' threads per core (SMT capacity and the
 	// burstiness trigger consider every co-located thread).
@@ -145,14 +163,24 @@ func newEngineState(md *machine.Description) (*engine, error) {
 	topo := md.Topo
 	words := (topo.TotalContexts() + 63) / 64
 	cores, sock, pairs := topo.TotalCores(), topo.Sockets, topo.NumSocketPairs()
+	ints := make([]int, cores+sock*sock)
 	e := &engine{
 		md:       md,
 		nCores:   cores,
 		nSock:    sock,
-		coreOcc:  make([]int, cores),
+		coreOcc:  ints[:cores:cores],
+		pair:     ints[cores:],
 		occupied: make([]uint64, words),
 		mine:     make([]uint64, words),
 		sockSeen: make([]bool, sock),
+	}
+	for a := 0; a < sock; a++ {
+		for b := 0; b < sock; b++ {
+			e.pair[a*sock+b] = -1
+			if a != b {
+				e.pair[a*sock+b] = topo.PairIndex(a, b)
+			}
+		}
 	}
 	// One slab backs every load table.
 	b := make([]float64, 4*cores+2*sock+pairs)
@@ -286,7 +314,6 @@ func (j *job) bind(e *engine, topo topology.Machine, w *Workload, place placemen
 	j.place = place
 	j.coreOf = growInts(j.coreOf, n)
 	j.carve(n, topo.Sockets)
-	j.bottleneck = growKinds(j.bottleneck, n)
 	j.amdahl = w.AmdahlSpeedup(n)
 	j.fInit = j.amdahl / float64(n) //nanguard:ok bind rejects empty placements, n >= 1
 	j.sCap = math.Inf(1)
@@ -329,7 +356,6 @@ func (e *engine) accumulate() {
 	for p := range e.ic {
 		e.ic[p] = 0
 	}
-	topo := e.md.Topo
 	for _, j := range e.jobs {
 		d := j.w.Demand
 		for i, c := range j.place {
@@ -341,10 +367,11 @@ func (e *engine) accumulate() {
 			e.l3Link[core] += d.L3 * fi
 			e.l3Agg[c.Socket] += d.L3 * fi
 			if dd := d.DRAM * fi; dd > 0 {
+				row := e.pair[c.Socket*e.nSock : (c.Socket+1)*e.nSock]
 				for _, u := range j.memSockets {
 					e.dram[u] += dd * j.memShare
 					if u != c.Socket {
-						e.ic[topo.PairIndex(c.Socket, u)] += 2 * dd * j.memShare
+						e.ic[row[u]] += 2 * dd * j.memShare
 					}
 				}
 			}
@@ -352,13 +379,54 @@ func (e *engine) accumulate() {
 	}
 }
 
+// socketWorst fills j.sockWorst and j.sockKind for every socket the job
+// runs on: the largest socket-level load/capacity factor (at least 1) a
+// thread on that socket sees, checked in the fixed order L3 aggregate, then
+// DRAM and interconnect over the job's memory sockets, with a strict > so
+// the first maximum wins. Every term depends only on the job and the
+// thread's socket, so one pass per iteration replaces a scan per thread.
+func (e *engine) socketWorst(j *job) {
+	md := e.md
+	d := j.w.Demand
+	for _, sock := range j.memSockets {
+		best := 1.0
+		kind := topology.ResInstr
+		if d.L3 > 0 && md.L3AggBW > 0 && e.l3Agg[sock] > 0 {
+			if r := e.l3Agg[sock] / md.L3AggBW; r > best {
+				best, kind = r, topology.ResL3Agg
+			}
+		}
+		if d.DRAM > 0 {
+			row := e.pair[sock*e.nSock : (sock+1)*e.nSock]
+			for _, u := range j.memSockets {
+				if md.DRAMBW > 0 && e.dram[u] > 0 {
+					if r := e.dram[u] / md.DRAMBW; r > best {
+						best, kind = r, topology.ResDRAM
+					}
+				}
+				if u != sock {
+					if load := e.ic[row[u]]; md.InterconnectBW > 0 && load > 0 {
+						if r := load / md.InterconnectBW; r > best {
+							best, kind = r, topology.ResInterconnect
+						}
+					}
+				}
+			}
+		}
+		j.sockWorst[sock], j.sockKind[sock] = best, kind
+	}
+}
+
 // worstOversubscription returns thread i of job j's largest load/capacity
-// factor (at least 1) and the bottleneck kind. The checks run in a fixed
-// resource order with no closures so the hot loop stays allocation-free.
+// factor (at least 1) and the bottleneck kind. It checks the thread's core
+// resources in a fixed order, then takes its socket's socketWorst result
+// only if that is strictly larger. A single scan over core then socket
+// resources with a strict > would pick the same first maximum, so the value
+// and kind match it bit for bit. No closures, so the hot loop stays
+// allocation-free.
 func (e *engine) worstOversubscription(j *job, i int) (float64, topology.ResourceKind) {
 	md := e.md
 	core := j.coreOf[i]
-	sock := j.place[i].Socket
 	d := j.w.Demand
 	best := 1.0
 	kind := topology.ResInstr
@@ -390,27 +458,9 @@ func (e *engine) worstOversubscription(j *job, i int) (float64, topology.Resourc
 				best, kind = r, topology.ResL3Link
 			}
 		}
-		if md.L3AggBW > 0 && e.l3Agg[sock] > 0 {
-			if r := e.l3Agg[sock] / md.L3AggBW; r > best {
-				best, kind = r, topology.ResL3Agg
-			}
-		}
 	}
-	if d.DRAM > 0 {
-		for _, u := range j.memSockets {
-			if md.DRAMBW > 0 && e.dram[u] > 0 {
-				if r := e.dram[u] / md.DRAMBW; r > best {
-					best, kind = r, topology.ResDRAM
-				}
-			}
-			if u != sock {
-				if load := e.ic[md.Topo.PairIndex(sock, u)]; md.InterconnectBW > 0 && load > 0 {
-					if r := load / md.InterconnectBW; r > best {
-						best, kind = r, topology.ResInterconnect
-					}
-				}
-			}
-		}
+	if sock := j.place[i].Socket; j.sockWorst[sock] > best {
+		return j.sockWorst[sock], j.sockKind[sock]
 	}
 	return best, kind
 }
@@ -444,6 +494,7 @@ func (e *engine) iterate(opt Options) (int, bool) {
 		// (i) Resource contention plus burstiness (§5.1).
 		for _, j := range e.jobs {
 			copy(j.prevF, j.f)
+			e.socketWorst(j)
 			for i := range j.place {
 				s, kind := e.worstOversubscription(j, i)
 				if !opt.DisableBurstiness && j.w.Burstiness > 0 && e.coreOcc[j.coreOf[i]] > 1 {
@@ -652,7 +703,7 @@ func (e *engine) loadsMap() map[topology.ResourceID]float64 {
 	for a := 0; a < e.nSock; a++ {
 		for b := a + 1; b < e.nSock; b++ {
 			put(topology.ResourceID{Kind: topology.ResInterconnect, Pair: topology.SocketPair{Lo: a, Hi: b}},
-				e.ic[e.md.Topo.PairIndex(a, b)])
+				e.ic[e.pair[a*e.nSock+b]])
 		}
 	}
 	return out

@@ -95,7 +95,7 @@ func (e *engine) loadSummary(worst *[obs.MaxLoadKinds]float64) (topology.Resourc
 	for a := 0; a < e.nSock; a++ {
 		for b := a + 1; b < e.nSock; b++ {
 			s.note(topology.ResourceID{Kind: topology.ResInterconnect, Pair: topology.SocketPair{Lo: a, Hi: b}},
-				e.ic[md.Topo.PairIndex(a, b)], md.InterconnectBW)
+				e.ic[e.pair[a*e.nSock+b]], md.InterconnectBW)
 		}
 	}
 	return s.id, s.best
@@ -106,7 +106,7 @@ func (e *engine) loadSummary(worst *[obs.MaxLoadKinds]float64) (topology.Resourc
 // interconnect links.
 func (e *engine) traceResIndex(id topology.ResourceID) int32 {
 	if id.Kind == topology.ResInterconnect {
-		return int32(e.md.Topo.PairIndex(id.Pair.Lo, id.Pair.Hi))
+		return int32(e.pair[id.Pair.Lo*e.nSock+id.Pair.Hi])
 	}
 	return int32(id.Index)
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"pandia/internal/machine"
 	"pandia/internal/obs"
 	"pandia/internal/placement"
 	"pandia/internal/topology"
@@ -129,34 +130,82 @@ func TestPredictorAfterError(t *testing.T) {
 }
 
 // TestPredictTimeZeroAllocs pins the fast path at zero heap allocations per
-// prediction — the tentpole acceptance criterion. The engine scratch is
-// warmed by one call; every subsequent call must reuse it entirely. A
-// disabled tracer is wired in deliberately: the observability layer must
-// compile down to a branch (and the always-on metric counters to atomics)
-// without touching the heap.
+// prediction — the tentpole acceptance criterion — on the toy machine and
+// on a full 80-thread X2-4, where the per-socket bottleneck pass and the
+// pair table do the most work. The engine scratch is warmed by one call;
+// every subsequent call must reuse it entirely. A disabled tracer is wired
+// in deliberately: the observability layer must compile down to a branch
+// (and the always-on metric counters to atomics) without touching the heap.
 func TestPredictTimeZeroAllocs(t *testing.T) {
 	prev := SetInvariantChecks(false)
 	defer SetInvariantChecks(prev)
-	tracer := obs.NewRingTracer(16, nil)
-	tracer.SetEnabled(false)
-	p, err := NewPredictor(toyMachine(), exampleWorkload(), Options{Tracer: tracer})
+	x24 := x24Machine()
+	spread, err := placement.Spread(x24.Topo, x24.Topo.TotalContexts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	place := workedExamplePlacement()
-	if _, err := p.PredictTime(place); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := p.PredictTime(place); err != nil {
+	for _, tc := range []struct {
+		md    *machine.Description
+		w     *Workload
+		place placement.Placement
+	}{
+		{toyMachine(), exampleWorkload(), workedExamplePlacement()},
+		{x24, quickWorkload(90, 120, 160, 200, 220, 140, 100), spread},
+	} {
+		tracer := obs.NewRingTracer(16, nil)
+		tracer.SetEnabled(false)
+		p, err := NewPredictor(tc.md, tc.w, Options{Tracer: tracer})
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("PredictTime allocates %v per op; want 0", allocs)
+		if _, err := p.PredictTime(tc.place); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := p.PredictTime(tc.place); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: PredictTime allocates %v per op; want 0", tc.md.Topo.Name, allocs)
+		}
+		if got := len(tracer.Events()); got != 0 {
+			t.Fatalf("%s: disabled tracer recorded %d events", tc.md.Topo.Name, got)
+		}
 	}
-	if got := len(tracer.Events()); got != 0 {
-		t.Fatalf("disabled tracer recorded %d events", got)
+}
+
+// TestCoSolveZeroAllocsX24 pins a warm CoPredictor engine re-solving a
+// 3-job X2-4 mix at zero allocations. CoPredictor.Predict adds only the
+// caller-visible CoPrediction on top of this solve, so the case measures
+// the solve itself: bind plus iterate.
+func TestCoSolveZeroAllocsX24(t *testing.T) {
+	prev := SetInvariantChecks(false)
+	defer SetInvariantChecks(prev)
+	md := x24Machine()
+	place, err := placement.Spread(md.Topo, md.Topo.TotalContexts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := []PlacedWorkload{
+		{Workload: quickWorkload(90, 120, 160, 200, 220, 140, 100), Placement: place[:30]},
+		{Workload: quickWorkload(40, 250, 30, 90, 180, 200, 20), Placement: place[30:60]},
+		{Workload: quickWorkload(200, 60, 220, 250, 90, 30, 240), Placement: place[60:]},
+	}
+	cp, err := NewCoPredictor(md, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cp.Predict(mix); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := cp.e.bind(mix, false); err != nil {
+			t.Fatal(err)
+		}
+		cp.e.iterate(cp.opt)
+	}); allocs != 0 {
+		t.Fatalf("X2-4 warm 3-job solve allocates %v per op; want 0", allocs)
 	}
 }
 
