@@ -207,7 +207,7 @@ func (c *checker) indexFiles() {
 		for _, f := range pkg.Files {
 			c.files[c.pass.Fset.Position(f.Pos()).Filename] = &fileRef{pkg: pkg, file: f}
 		}
-		for _, dep := range pkg.Imports { //detlint:ignore indexing by filename; order cannot matter
+		for _, dep := range pkg.Imports { //detflow:ignore indexing by filename; order cannot matter
 			add(dep)
 		}
 	}

@@ -29,7 +29,7 @@ import (
 
 // Analyzer describes one static-analysis pass.
 type Analyzer struct {
-	// Name identifies the pass in diagnostics, e.g. "unitcheck".
+	// Name identifies the pass in diagnostics, e.g. "unitflow".
 	Name string
 	// Doc is a one-paragraph description shown by `pandia-vet help`.
 	Doc string

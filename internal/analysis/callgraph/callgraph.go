@@ -247,7 +247,7 @@ func collectClosure(pkg *analysis.Package, out map[string]*analysis.Package) {
 	}
 	out[pkg.Path] = pkg
 	var deps []string
-	for p := range pkg.Imports { //detlint:ignore collected then sorted below
+	for p := range pkg.Imports { //detflow:ignore collected then sorted below
 		deps = append(deps, p)
 	}
 	sort.Strings(deps)

@@ -11,8 +11,9 @@
 //   - A forward/backward fixed-point solver (solver.go) parameterised by a
 //     Lattice, iterating block transfer functions to convergence.
 //
-// Passes built on it (unitflow, lockcheck) analyse one function at a time;
-// function literals get their own graphs via Functions.
+// Passes built on it (unitflow, and the locks engine behind deadlockcheck)
+// analyse one function at a time; function literals get their own graphs
+// via Functions.
 package dataflow
 
 import (

@@ -1,6 +1,6 @@
-// Package deadlockcheck detects potential deadlocks interprocedurally,
-// generalizing lockcheck's single-function rules across the module-local
-// call graph via the internal/analysis/locks engine:
+// Package deadlockcheck is the mutex-discipline pass of pandia-vet. It
+// runs the internal/analysis/locks engine over the module-local call graph
+// and reports, in every package:
 //
 //   - lock-order inversions: every acquisition of lock B while lock A is
 //     held (in any function, through any call chain) contributes an edge
@@ -8,13 +8,23 @@
 //     graph means two goroutines can acquire the same locks in opposite
 //     orders and deadlock. Each cycle is reported once, with a call-chain
 //     witness per edge.
-//   - interprocedural double-locks: a helper that (re-)acquires a mutex
-//     some caller already holds, which self-deadlocks because sync
-//     mutexes are not re-entrant. The purely local case is lockcheck's.
-//   - blocking under a lock: a channel send/receive, WaitGroup/Cond Wait,
+//   - double-locks: a Lock of a mutex that is already held — in the same
+//     function, or in a helper some caller calls with it held — which
+//     self-deadlocks because sync mutexes are not re-entrant; Lock while
+//     RLock-ed (the upgrade deadlock) counts too.
+//   - wrong-flavour releases: Unlock of a read-held lock, RUnlock of a
+//     write-held one.
+//   - leaked locks: an explicit return while a lock taken in the function
+//     is still held and no deferred unlock covers it.
+//   - blocking under a lock: a channel send/receive, WaitGroup.Wait,
 //     time.Sleep, net/http or os/exec call reached (directly or through
 //     callees) while a lock is held, stalling every other goroutine that
-//     needs the lock.
+//     needs the lock; Cond.Wait only when a second lock is held, since it
+//     releases its own.
+//
+// Only definite lock states survive a CFG join, so conditionally-held
+// locks are never reported. Copying a lock-bearing value is go vet's
+// copylocks check, not this pass's.
 //
 // A finding that is intended behavior (e.g. a deliberately-held lock
 // around a bounded channel handoff) is suppressed with a trailing
@@ -38,10 +48,9 @@ import (
 // Analyzer is the deadlockcheck pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "deadlockcheck",
-	Doc:  "detect lock-order inversions, interprocedural double-locks, and blocking calls under a lock",
-	Run:  run,
-	Restrict: analysis.RestrictTo("internal/scheduler", "internal/obs", "internal/eval",
-		"internal/faults", "internal/scenario", "internal/core"),
+	Doc: "detect lock-order inversions, double-locks, wrong-flavour unlocks, returns that leak " +
+		"a lock, and blocking calls under a lock",
+	Run: run,
 }
 
 type checker struct {
@@ -56,10 +65,7 @@ func run(pass *analysis.Pass) error {
 
 	res := locks.Analyze(pass)
 	c.reportCycles(res)
-	for _, f := range res.Doubles {
-		c.report(f.Pos, f.Message)
-	}
-	for _, f := range res.Blocking {
+	for _, f := range res.Findings {
 		c.report(f.Pos, f.Message)
 	}
 	return nil

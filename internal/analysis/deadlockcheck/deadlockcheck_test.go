@@ -8,5 +8,5 @@ import (
 )
 
 func TestDeadlockcheckFixtures(t *testing.T) {
-	analysistest.Run(t, "testdata", deadlockcheck.Analyzer, "a")
+	analysistest.Run(t, "testdata", deadlockcheck.Analyzer, "a", "local")
 }

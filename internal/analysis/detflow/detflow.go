@@ -1,28 +1,31 @@
-// Package detflow is the interprocedural companion of detlint.
+// Package detflow enforces determinism in the predictor's core paths.
 //
-// detlint forbids the three nondeterministic constructs — map range
-// iteration, time.Now, the process-seeded global math/rand source — inside
-// the prediction packages themselves. That leaves a hole: a core function
-// can call a helper in an unrestricted package (kernels, placement, a
-// utility package) that hides the same construct one level down, and the
-// fixed-point loop silently stops being bit-identical run-to-run.
+// The fixed-point loop (§5) must produce bit-identical results run-to-run:
+// golden tests, the ablation tables, and cross-machine portability studies
+// all diff floating-point outputs exactly. Three Go constructs silently
+// break that: map range iteration (random order — and float accumulation is
+// not associative, so even "order-independent" sums drift), time.Now, and
+// the process-seeded global math/rand source. Seeded generators built with
+// rand.New(rand.NewSource(seed)) are fine, as is the key-collection prelude
+// of a sorted iteration.
 //
-// detflow closes the hole. For each restricted package it builds the
-// module-local call graph (internal/analysis/callgraph), collects
-// nondeterminism sources in the unrestricted functions of the import
-// closure, and taints them through the graph. Every source reachable from a
-// function of the package under analysis is reported at the call site where
-// the flow leaves the package, with the full call chain and the true source
-// location in the message:
+// detflow guards the restricted packages (internal/core, internal/simhw,
+// internal/eval, internal/faults, internal/obs) in two ways. A source
+// inside the package is reported at its own line — in particular,
+// observability timestamps must come from an injected obs.Clock, never a
+// bare time.Now, so recorded traces stay reproducible. A source hidden in an
+// unrestricted helper (kernels, placement, a utility package) is found by
+// tainting the module-local call graph (internal/analysis/callgraph) and
+// reported at the call site where the flow leaves the package, with the
+// full call chain and the true source location in the message:
 //
 //	nondeterminism reaches the core: time.Now (at kernels/cpu.go:42);
 //	call path: kernels.stamp ← core.refresh; inject the clock
 //
-// Sources inside restricted packages are detlint's findings and are not
-// duplicated here; callees in other restricted packages are not traversed
-// (they are vetted when their own package is analysed). A deliberate,
-// order-independent escape carries //detflow:ignore with a justification on
-// the calling line.
+// Callees in other restricted packages are not traversed: they are vetted
+// when their own package is analysed. Test files are exempt. A deliberate,
+// order-independent escape carries //detflow:ignore with a justification
+// on the source line or the calling line (or the line above it).
 package detflow
 
 import (
@@ -33,29 +36,36 @@ import (
 
 	"pandia/internal/analysis"
 	"pandia/internal/analysis/callgraph"
-	"pandia/internal/analysis/detlint"
 )
 
-// Analyzer is the detflow pass. It runs over the same restricted package
-// set as detlint: the two passes together cover the intraprocedural and
-// interprocedural halves of the determinism discipline.
+// Analyzer is the detflow pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "detflow",
-	Doc: "taint time.Now, global math/rand and map iteration through the module-local " +
-		"call graph and report nondeterminism flowing into the prediction core",
+	Doc: "forbid time.Now, global math/rand and map iteration in the prediction core, " +
+		"directly or through the module-local call graph",
 	Run:      run,
 	Restrict: restricted,
 }
 
-// restricted mirrors detlint's package set; a named function breaks the
-// initialization cycle Analyzer → run → Analyzer.Restrict.
-func restricted(pkgPath string) bool { return detlint.Analyzer.Restrict(pkgPath) }
+// restricted is the prediction core: the packages whose results must be
+// bit-identical run to run.
+var restricted = analysis.RestrictTo("internal/core", "internal/simhw", "internal/eval",
+	"internal/faults", "internal/obs")
 
-// source is one nondeterminism origin in an unrestricted function.
+// seededConstructors are the math/rand functions that build explicitly
+// seeded generators and are therefore allowed.
+var seededConstructors = map[string]bool{
+	"New":       true,
+	"NewSource": true,
+	"NewZipf":   true,
+}
+
+// source is one nondeterminism origin.
 type source struct {
 	pos    token.Pos
-	what   string // "time.Now", "global math/rand call rand.Intn", …
-	advice string // the fix, mirroring detlint's wording
+	what   string // names it in a flow: "time.Now", "global math/rand call rand.Intn", …
+	why    string // states it at its own line: "time.Now breaks run-to-run determinism", …
+	advice string // the fix
 }
 
 type checker struct {
@@ -94,16 +104,61 @@ func run(pass *analysis.Pass) error {
 		return false
 	})
 	for _, n := range c.g.Nodes {
-		if n.Decl != nil && n.Pkg.Types == pass.Pkg && !pass.IsTestFile(n.Pos()) {
+		if n.Pkg.Types != pass.Pkg || pass.IsTestFile(n.Pos()) {
+			continue
+		}
+		for _, s := range c.collect(n) {
+			if !c.ignored(s.pos) {
+				pass.Reportf(s.pos, "%s; %s", s.why, s.advice)
+			}
+		}
+		if n.Decl != nil {
 			c.reportEntry(n)
 		}
 	}
+	c.reportInitializers()
 	return nil
 }
 
-// collectable limits source collection to unrestricted, non-test functions
-// outside the package under analysis: sources inside restricted packages
-// are detlint findings, not flows.
+// reportInitializers reports sources called directly in package-level var
+// initialisers, which run outside every call-graph node (literals there
+// are nodes of their own).
+func (c *checker) reportInitializers() {
+	for _, f := range c.pass.Files {
+		if c.pass.IsTestFile(f.Pos()) {
+			continue
+		}
+		for _, d := range f.Decls {
+			ast.Inspect(d, func(x ast.Node) bool {
+				switch x := x.(type) {
+				case *ast.FuncDecl, *ast.FuncLit:
+					return false
+				case *ast.CallExpr:
+					fun := x.Fun
+					if sel, ok := fun.(*ast.SelectorExpr); ok {
+						fun = sel.Sel
+					}
+					id, ok := fun.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					fn, ok := c.pass.TypesInfo.Uses[id].(*types.Func)
+					if !ok {
+						return true
+					}
+					if s, ok := nondetCall(fn); ok && !c.ignored(x.Pos()) {
+						c.pass.Reportf(x.Pos(), "%s; %s", s.why, s.advice)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// collectable limits flow sources to unrestricted, non-test functions
+// outside the package under analysis: sources inside it are reported at
+// their own line, and other restricted packages are vetted on their own.
 func (c *checker) collectable(n *callgraph.Node) bool {
 	if n.Pkg.Types == c.pass.Pkg || c.pass.IsTestFile(n.Pos()) {
 		return false
@@ -121,7 +176,7 @@ func (c *checker) traversable(callee *callgraph.Node) bool {
 	return !restricted(callee.Pkg.Path)
 }
 
-// collect scans one unrestricted function for nondeterminism sources: calls
+// collect scans one function for nondeterminism sources: calls
 // to time.Now, calls to unseeded package-level math/rand functions, and map
 // range iteration (minus the key-collection idiom).
 func (c *checker) collect(n *callgraph.Node) []source {
@@ -151,12 +206,9 @@ func (c *checker) collect(n *callgraph.Node) []source {
 		if t == nil {
 			return true
 		}
-		if _, isMap := t.Underlying().(*types.Map); isMap && !detlint.IsKeyCollection(rs) {
-			out = append(out, source{
-				pos:    rs.Pos(),
-				what:   "nondeterministic iteration over map " + types.ExprString(rs.X),
-				advice: "iterate sorted keys instead",
-			})
+		if _, isMap := t.Underlying().(*types.Map); isMap && !isKeyCollection(rs) {
+			what := "nondeterministic iteration over map " + types.ExprString(rs.X)
+			out = append(out, source{pos: rs.Pos(), what: what, why: what, advice: "iterate sorted keys instead"})
 		}
 		return true
 	})
@@ -172,18 +224,48 @@ func nondetCall(fn *types.Func) (source, bool) {
 	switch pkg.Path() {
 	case "time":
 		if fn.Name() == "Now" {
-			return source{what: "time.Now", advice: "inject the clock"}, true
+			return source{what: "time.Now", why: "time.Now breaks run-to-run determinism",
+				advice: "inject the clock"}, true
 		}
 	case "math/rand", "math/rand/v2":
 		sig, _ := fn.Type().(*types.Signature)
-		if sig != nil && sig.Recv() == nil && !detlint.IsSeededRandConstructor(fn.Name()) {
+		if sig != nil && sig.Recv() == nil && !seededConstructors[fn.Name()] {
 			return source{
 				what:   "global math/rand call " + pkg.Name() + "." + fn.Name(),
+				why:    "global math/rand source is process-seeded",
 				advice: "use rand.New(rand.NewSource(seed))",
 			}, true
 		}
 	}
 	return source{}, false
+}
+
+// isKeyCollection recognises the canonical deterministic-iteration prelude —
+// `for k := range m { keys = append(keys, k) }` — which is order-independent
+// by construction (the keys are sorted before use). The loop must bind only
+// the key and its body must be a single append of that key.
+func isKeyCollection(rs *ast.RangeStmt) bool {
+	if rs.Value != nil || rs.Key == nil || len(rs.Body.List) != 1 {
+		return false
+	}
+	key, ok := rs.Key.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	assign, ok := rs.Body.List[0].(*ast.AssignStmt)
+	if !ok || len(assign.Lhs) != 1 || len(assign.Rhs) != 1 {
+		return false
+	}
+	call, ok := assign.Rhs[0].(*ast.CallExpr)
+	if !ok || len(call.Args) != 2 {
+		return false
+	}
+	fun, ok := call.Fun.(*ast.Ident)
+	if !ok || fun.Name != "append" {
+		return false
+	}
+	arg, ok := call.Args[1].(*ast.Ident)
+	return ok && arg.Name == key.Name
 }
 
 // ignored reports whether an in-package position's line carries a

@@ -1,8 +1,8 @@
-package a
+package local
 
-// Fixture for detlint: map ranges, time.Now, and global math/rand calls are
-// flagged; slice/array/channel ranges, seeded generators, and annotated
-// order-independent iterations pass.
+// Fixture for in-package sources: map ranges, time.Now, and global
+// math/rand calls are flagged at their own line; slice ranges, seeded
+// generators, and annotated order-independent iterations pass.
 
 import (
 	"math/rand"
@@ -41,7 +41,7 @@ func goodSortedRange(loads map[string]float64) float64 {
 
 func goodAnnotatedRange(present map[int]bool) int {
 	n := 0
-	//detlint:ignore membership count is order-independent over bools
+	//detflow:ignore membership count is order-independent over bools
 	for range present {
 		n++
 	}
@@ -56,3 +56,6 @@ func goodSeededRand(seed int64, xs []float64) float64 {
 	}
 	return sum
 }
+
+// started is stamped by a package-level initialiser, outside every function.
+var started = time.Now().Unix() // want `time\.Now breaks run-to-run determinism`

@@ -88,10 +88,11 @@ type Result struct {
 	// OrderEdges is the global lock-acquisition-order graph (deduplicated,
 	// deterministic order).
 	OrderEdges []OrderEdge
-	// Doubles are interprocedural re-acquisitions of an already-held lock.
-	Doubles []Finding
-	// Blocking are blocking operations performed while holding a lock.
-	Blocking []Finding
+	// Findings are the lock-misuse findings: re-acquisitions of a held
+	// lock (locally or through callees), wrong-flavour releases, returns
+	// that leak a lock taken in the function, and blocking operations
+	// performed while holding a lock.
+	Findings []Finding
 	// Accesses are all tracked field accesses across the closure; report
 	// only those with InRoot set.
 	Accesses []*FieldAccess

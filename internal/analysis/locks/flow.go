@@ -158,6 +158,11 @@ type sink struct {
 	onCall func(call *ast.CallExpr, ed *callgraph.Edge, f *fact)
 	// onAccess fires for every tracked struct-field access.
 	onAccess func(a *FieldAccess)
+	// onRelease fires for every local Unlock/RUnlock, before it applies.
+	onRelease func(call *ast.CallExpr, op syncOp, f *fact)
+	// onReturn fires at every return statement, before the deferred
+	// unlocks run.
+	onReturn func(ret *ast.ReturnStmt, f *fact)
 }
 
 // exec interprets one CFG node, mutating the fact and reporting to the
@@ -187,6 +192,9 @@ func (e *engine) exec(fn *callgraph.Node, node ast.Node, f *fact, s *sink) {
 		case *ast.ReturnStmt:
 			for _, r := range x.Results {
 				e.exec(fn, r, f, s)
+			}
+			if s != nil && s.onReturn != nil {
+				s.onReturn(x, f)
 			}
 			f.applyDeferred()
 			return false
@@ -237,6 +245,9 @@ func (e *engine) syncEffect(call *ast.CallExpr, op syncOp, f *fact, s *sink) {
 		}
 		f.held[op.id] = mode
 	case "Unlock", "RUnlock":
+		if s != nil && s.onRelease != nil {
+			s.onRelease(call, op, f)
+		}
 		if _, ok := f.held[op.id]; ok {
 			delete(f.held, op.id)
 		} else {

@@ -306,6 +306,11 @@ func syncCall(call *ast.CallExpr, info *types.Info) (syncOp, bool) {
 	return syncOp{id: lockIDOf(fun.X, implicit, info), method: fn.Name()}, true
 }
 
+// condWait is the blocking description of (*sync.Cond).Wait. Wait needs
+// its Cond's own lock held and releases it while waiting, so the replay
+// reports it only when a second lock is held across the wait.
+const condWait = "call to sync.Cond.Wait"
+
 // blockingExternal classifies a standard-library function the engine
 // treats as blocking while holding a lock. Unknown externals and dynamic
 // calls are deliberately NOT classified — treating every opaque call as
@@ -357,7 +362,7 @@ func isChanType(t types.Type) bool {
 // iteration over held/acquired sets.
 func sortedIDs[V any](m map[LockID]V) []LockID {
 	ids := make([]LockID, 0, len(m))
-	for id := range m { //detlint:ignore sorted below
+	for id := range m { //detflow:ignore sorted below
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool {

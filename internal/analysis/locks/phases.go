@@ -230,12 +230,14 @@ func heldEq(a, b map[LockID]Mode) bool {
 }
 
 // replayAll runs the final pass over every function with its inferred
-// entry set, collecting order edges, interprocedural double-locks,
-// blocking-under-lock findings, and guarded-field accesses.
+// entry set, collecting order edges, double-locks, wrong-flavour releases,
+// returns that leak a lock, blocking-under-lock findings, and
+// guarded-field accesses.
 func (e *engine) replayAll() {
 	for _, n := range e.g.Nodes {
 		n := n
-		res := e.solveNode(n, e.entryOf(n))
+		entry := e.entryOf(n)
+		res := e.solveNode(n, entry)
 		inRoot := n.Pkg.Types == e.rootPkg
 		fnName := n.Name()
 		s := &sink{
@@ -246,10 +248,10 @@ func (e *engine) replayAll() {
 						if hm == ModeRead && mode == ModeRead {
 							continue // RLock is shareable
 						}
-						if len(via) == 0 || !inRoot {
-							continue // local re-locks are lockcheck's domain
+						if _, inherited := entry[id]; !inRoot || len(via) == 0 && inherited {
+							continue // its own package, or the caller's call site, reports it
 						}
-						e.addFinding(&e.result.Doubles, anchor, fmt.Sprintf(
+						e.addFinding(&e.result.Findings, anchor, fmt.Sprintf(
 							"%s is acquired again via %s (%s) while already %s-held; sync mutexes are not re-entrant",
 							id, chainLabel(fnName, via), posLabel(e.fset, acqPos), hm))
 						continue
@@ -269,11 +271,35 @@ func (e *engine) replayAll() {
 				if len(f.held) == 0 || !inRoot {
 					return
 				}
+				if desc == condWait && len(f.held) < 2 {
+					return // Wait releases the Cond's own lock while it waits
+				}
 				msg := fmt.Sprintf("%s while holding %s", desc, holding(f.held))
 				if len(via) > 0 {
 					msg += fmt.Sprintf(" via %s (%s)", chainLabel(fnName, via), posLabel(e.fset, opPos))
 				}
-				e.addFinding(&e.result.Blocking, anchor, msg)
+				e.addFinding(&e.result.Findings, anchor, msg)
+			},
+			onRelease: func(call *ast.CallExpr, op syncOp, f *fact) {
+				hm, want := f.held[op.id], "Unlock"
+				if hm == ModeRead {
+					want = "RUnlock"
+				}
+				if inRoot && hm != 0 && op.method != want {
+					e.addFinding(&e.result.Findings, call.Pos(), fmt.Sprintf(
+						"%s of %s while %s-held (want %s)", op.method, op.id, hm, want))
+				}
+			},
+			onReturn: func(ret *ast.ReturnStmt, f *fact) {
+				if !inRoot {
+					return
+				}
+				for _, id := range sortedIDs(f.held) {
+					if _, inherited := entry[id]; !inherited && !f.deferred[id] {
+						e.addFinding(&e.result.Findings, ret.Pos(), fmt.Sprintf(
+							"return while holding %s with no deferred unlock", id))
+					}
+				}
 			},
 			onAccess: func(a *FieldAccess) {
 				e.result.Accesses = append(e.result.Accesses, a)

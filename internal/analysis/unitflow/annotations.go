@@ -18,9 +18,9 @@ import (
 //     function results ("//pandia:unit seconds") and parameters
 //     ("//pandia:unit t1 seconds", "//pandia:unit return seconds");
 //  2. built-in knowledge of standard types (time.Duration is seconds);
-//  3. the identifier-suffix families the old syntactic unitcheck policed
-//     (Bytes, Secs/Seconds, Hz/GHz/MHz, <dim>PerSec), demoted to a seeding
-//     strategy: they apply only where no annotation says otherwise.
+//  3. the identifier-suffix families (Bytes, Secs/Seconds, Instrs,
+//     Hz/GHz/MHz, <dim>PerSec), demoted to a seeding strategy: they apply
+//     only where no annotation says otherwise.
 type seeds struct {
 	fields  map[*types.Var]Unit
 	vars    map[*types.Var]Unit
@@ -255,51 +255,51 @@ func (s *seeds) typeUnit(t types.Type) Unit {
 	}
 }
 
-// suffixUnit is the demoted unitcheck heuristic: derive a unit from the
-// identifier's suffix family when nothing is declared. Longer suffixes win
-// and the suffix must start a camel-case word.
-func suffixUnit(name string) Unit {
-	if rest, ok := cutSuffixWord(name, "PerSec"); ok {
-		// Resolve the numerator recursively: BytesPerSec, InstrPerSec. A
-		// bare PerSec suffix leaves the numerator unknown.
-		if rest != "" {
-			if n := suffixUnit(rest); n.Known() {
-				return n.Div(Seconds)
-			}
+// suffixes is the identifier-suffix table: each family's unit and the
+// family name the syntactic check compares when flow inference leaves a
+// pair undecided. Every suffix starts with a capital, so a match always
+// begins a fresh camel-case word ("Emphasis" never reads as a Hz value);
+// PerSec comes first so it wins over Secs.
+var suffixes = []struct {
+	suffix string
+	unit   Unit
+	family string
+}{
+	{"PerSec", Unknown, "rate(PerSec)"}, // unit: the numerator's, per second
+	{"Seconds", Seconds, "seconds"},
+	{"Secs", Seconds, "seconds"},
+	{"Bytes", Bytes, "bytes"},
+	{"Instrs", Instructions, "instructions"},
+	{"Hz", Hertz, "frequency(Hz)"}, // also GHz, MHz: scale does not matter
+}
+
+// suffixMatch returns the first table entry name ends with and the name's
+// head before the suffix.
+func suffixMatch(name string) (head string, unit Unit, family string) {
+	for _, s := range suffixes {
+		if head, ok := strings.CutSuffix(name, s.suffix); ok {
+			return head, s.unit, s.family
 		}
-		return Unknown
 	}
-	for _, fam := range []struct {
-		suffix string
-		unit   Unit
-	}{
-		{"Seconds", Seconds}, {"Secs", Seconds}, {"Bytes", Bytes},
-		{"Instrs", Instructions}, {"GHz", Hertz}, {"MHz", Hertz}, {"Hz", Hertz},
-	} {
-		if _, ok := cutSuffixWord(name, fam.suffix); ok {
-			return fam.unit
-		}
+	return "", Unknown, ""
+}
+
+// suffixUnit derives a unit from the identifier's suffix when nothing is
+// declared. A PerSec suffix resolves its numerator recursively
+// (BytesPerSec, InstrsPerSec); a bare PerSec leaves the unit unknown.
+func suffixUnit(name string) Unit {
+	head, u, _ := suffixMatch(name)
+	if u.Known() || head == "" {
+		return u
+	}
+	if n := suffixUnit(head); n.Known() {
+		return n.Div(Seconds)
 	}
 	return Unknown
 }
 
-// cutSuffixWord cuts suffix off name, requiring the suffix to begin a fresh
-// camel-case word (or be the whole identifier); it returns the head and
-// whether the suffix matched.
-func cutSuffixWord(name, suffix string) (string, bool) {
-	if !strings.HasSuffix(name, suffix) {
-		return "", false
-	}
-	head := name[:len(name)-len(suffix)]
-	if head == "" {
-		return head, true
-	}
-	if suffix[0] >= 'A' && suffix[0] <= 'Z' {
-		return head, true
-	}
-	last := head[len(head)-1]
-	if last >= 'a' && last <= 'z' || last >= 'A' && last <= 'Z' {
-		return "", false
-	}
-	return head, true
+// suffixFamily names the suffix family of an identifier, or "".
+func suffixFamily(name string) string {
+	_, _, family := suffixMatch(name)
+	return family
 }

@@ -1,8 +1,8 @@
-package a
+package families
 
-// Fixture for unitcheck: mixing unit families across +, -, and comparisons
-// must be flagged; same-family arithmetic, dimension-combining * and /, and
-// explicit conversion helpers must pass.
+// Fixture for the suffix families: mixing them across +, -, and comparisons
+// is flagged even where a bare PerSec leaves the unit undecided; same-family
+// arithmetic, dimension-combining * and /, and conversion helpers pass.
 
 type sample struct {
 	DRAMBytes   float64

@@ -4,9 +4,9 @@
 // used ... the exact scale is not significant" (§3) — which makes unit
 // mixing the one numeric bug class the type system cannot catch: adding a
 // byte volume to a duration type-checks fine and silently corrupts every
-// downstream prediction. The older syntactic unitcheck pass polices only
-// identifier suffixes inside a single expression; any value that flows
-// through a local, a struct field, or a function boundary escapes it.
+// downstream prediction. Identifier suffixes alone see one expression at a
+// time; any value that flows through a local, a struct field, or a function
+// boundary escapes them.
 //
 // unitflow closes that gap with a dataflow analysis on the CFG of every
 // function: unit tags (seconds, bytes, bytes/sec, instructions, ratio,
@@ -14,13 +14,15 @@
 // assignments, arithmetic, composite literals, returns and calls. Declared
 // sources are //pandia:unit annotations on struct fields, package vars,
 // named types, function results and parameters; built-in knowledge of
-// time.Duration; and the old suffix families (Bytes, Secs, Hz, PerSec),
-// demoted to a seeding strategy. Per-function result summaries are inferred
-// on demand across the module-local import closure, giving a cheap
-// interprocedural lift without a whole-program analysis.
+// time.Duration; and the identifier-suffix families (Bytes, Secs, Hz,
+// PerSec), demoted to a seeding strategy. Per-function result summaries
+// are inferred on demand across the module-local import closure, giving a
+// cheap interprocedural lift without a whole-program analysis.
 //
 // Reported:
-//   - additions, subtractions and comparisons of unlike dimensions;
+//   - additions, subtractions and comparisons of unlike dimensions, and —
+//     where inference leaves a pair undecided — of unlike suffix families
+//     (DRAMBytes - RatePerSec);
 //   - assignments and composite-literal fields whose value's inferred unit
 //     contradicts the destination's declared unit;
 //   - returns that contradict the function's declared result unit;
@@ -361,9 +363,8 @@ func (w *walker) assign(n *ast.AssignStmt, e env, final bool) {
 	case token.ADD_ASSIGN, token.SUB_ASSIGN:
 		ul := w.eval(n.Lhs[0], e, final)
 		ur := w.eval(n.Rhs[0], e, final)
-		if final && w.reporting && ul.Mixes(ur) && isNumeric(w.info, n.Lhs[0]) {
-			w.a.report(n.TokPos, "unit mismatch: %s (%s) %s %s (%s)",
-				types.ExprString(n.Lhs[0]), ul, n.Tok, types.ExprString(n.Rhs[0]), ur)
+		if final && w.reporting {
+			w.checkAddLike(n.TokPos, "", n.Tok, n.Lhs[0], n.Rhs[0], ul, ur)
 		}
 	case token.MUL_ASSIGN:
 		ul := w.eval(n.Lhs[0], e, final)
@@ -534,17 +535,14 @@ func (w *walker) binary(x *ast.BinaryExpr, e env, final bool) Unit {
 		if !isNumeric(w.info, x.X) || !isNumeric(w.info, x.Y) {
 			return Unknown // string +, etc.
 		}
-		if final && w.reporting && ul.Mixes(ur) {
-			w.a.report(x.OpPos, "unit mismatch: %s (%s) %s %s (%s)",
-				types.ExprString(x.X), ul, x.Op, types.ExprString(x.Y), ur)
+		if final && w.reporting {
+			w.checkAddLike(x.OpPos, "", x.Op, x.X, x.Y, ul, ur)
 		}
 		u, _ := ul.AddLike(ur)
 		return u
 	case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ:
-		if isNumeric(w.info, x.X) && isNumeric(w.info, x.Y) &&
-			final && w.reporting && ul.Mixes(ur) {
-			w.a.report(x.OpPos, "unit mismatch: comparing %s (%s) %s %s (%s)",
-				types.ExprString(x.X), ul, x.Op, types.ExprString(x.Y), ur)
+		if final && w.reporting {
+			w.checkAddLike(x.OpPos, "comparing ", x.Op, x.X, x.Y, ul, ur)
 		}
 		return Unknown
 	case token.MUL:
@@ -559,6 +557,58 @@ func (w *walker) binary(x *ast.BinaryExpr, e env, final bool) Unit {
 		return u
 	}
 	return Unknown
+}
+
+// checkAddLike reports a +, -, comparison or +=/-= pair of numeric
+// operands whose units mix dimensions. When inference leaves the pair
+// undecided, the operands' identifier-suffix families must agree instead:
+// a *Bytes value never meets a bare *PerSec one without a conversion.
+func (w *walker) checkAddLike(pos token.Pos, verb string, op token.Token, x, y ast.Expr, ux, uy Unit) {
+	if !isNumeric(w.info, x) || !isNumeric(w.info, y) {
+		return
+	}
+	if ux.Mixes(uy) {
+		w.a.report(pos, "unit mismatch: %s%s (%s) %s %s (%s)",
+			verb, types.ExprString(x), ux, op, types.ExprString(y), uy)
+		return
+	}
+	if ux.Known() && uy.Known() {
+		return
+	}
+	if fx, fy := w.familyOf(x), w.familyOf(y); fx != "" && fy != "" && fx != fy {
+		w.a.report(pos, "unit mismatch: %s%s (%s) %s %s (%s); convert explicitly",
+			verb, types.ExprString(x), fx, op, types.ExprString(y), fy)
+	}
+}
+
+// familyOf derives an expression's suffix family from the identifier
+// naming it, looking through parentheses, unary operators, indexing, field
+// selection and type conversions. A function call takes the callee's
+// family: a conversion helper names its result unit.
+func (w *walker) familyOf(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return suffixFamily(e.Name)
+	case *ast.SelectorExpr:
+		return suffixFamily(e.Sel.Name)
+	case *ast.ParenExpr:
+		return w.familyOf(e.X)
+	case *ast.UnaryExpr:
+		return w.familyOf(e.X)
+	case *ast.IndexExpr:
+		return w.familyOf(e.X)
+	case *ast.CallExpr:
+		if tv, ok := w.info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
+			return w.familyOf(e.Args[0])
+		}
+		switch fun := e.Fun.(type) {
+		case *ast.Ident:
+			return suffixFamily(fun.Name)
+		case *ast.SelectorExpr:
+			return suffixFamily(fun.Sel.Name)
+		}
+	}
+	return ""
 }
 
 // call resolves conversions, built-ins, and function/method calls.

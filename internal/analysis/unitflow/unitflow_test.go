@@ -8,5 +8,5 @@ import (
 )
 
 func TestUnitflow(t *testing.T) {
-	analysistest.Run(t, "testdata", unitflow.Analyzer, "a", "b")
+	analysistest.Run(t, "testdata", unitflow.Analyzer, "a", "b", "families")
 }

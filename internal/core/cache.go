@@ -184,7 +184,7 @@ type timeEntry struct {
 // Capacity is bounded: when the table reaches capacity the whole table is
 // dropped (counted in Stats().Evictions). Wholesale replacement instead of
 // per-entry LRU keeps the hot path free of bookkeeping and — deliberately —
-// free of map iteration, which detlint bans in this package.
+// free of map iteration, which detflow bans in this package.
 type PredictionCache struct {
 	mu       sync.RWMutex
 	m        map[uint64]timeEntry

@@ -6,7 +6,7 @@ import (
 )
 
 // Clock supplies the timestamps stamped onto trace events. Everything in
-// this repository that needs a time source takes a Clock — detlint forbids
+// this repository that needs a time source takes a Clock — detflow forbids
 // bare time.Now in the instrumented packages precisely so that traces and
 // experiments replay deterministically. Now returns seconds since an
 // arbitrary per-clock epoch.
@@ -68,7 +68,7 @@ type wallClock struct {
 // instrumented packages; everything downstream of it is explicitly
 // nondeterministic and must not feed golden tests.
 func WallClock() Clock {
-	return wallClock{epoch: time.Now()} //detlint:ignore the one injected wall-time source; traces meant for goldens use ManualClock
+	return wallClock{epoch: time.Now()} //detflow:ignore the one injected wall-time source; traces meant for goldens use ManualClock
 }
 
 // Now returns monotonic seconds since the clock was created.
