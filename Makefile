@@ -16,7 +16,7 @@ GO ?= go
 # DESIGN.md §12.
 BENCH_CORE = BenchmarkFig10Curves|BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkPredictSweep|BenchmarkTestbedRun|BenchmarkEnumeratePlacements|BenchmarkPredictTimeWarm$$|BenchmarkCacheHit$$|BenchmarkSweepPruned$$
 
-.PHONY: check test vet pandia-vet alloccheck lockcheck fuzz fuzz-smoke scenario-smoke journal-smoke bench bench-smoke bench-gate build
+.PHONY: check test vet pandia-vet alloccheck lockcheck kernels-scaling fuzz fuzz-smoke scenario-smoke journal-smoke bench bench-smoke bench-gate build
 
 build:
 	$(GO) build ./...
@@ -35,22 +35,29 @@ pandia-vet:
 alloccheck:
 	$(GO) run ./cmd/pandia-vet -only alloccheck ./...
 
-# lockcheck alone: the lock-discipline proof of the concurrency surface —
-# deadlockcheck (acquisition order, re-entry, blocking under a lock) and
-# guardcheck (//pandia:guardedby field accesses).
+# lockcheck alone: the lock-discipline proof — deadlockcheck (acquisition
+# order, re-entry, wrong-flavour unlocks, leaked locks, blocking under a
+# lock) and guardcheck (//pandia:guardedby field accesses).
 lockcheck:
 	$(GO) run ./cmd/pandia-vet -only deadlockcheck,guardcheck ./...
 
+# check runs every gate once: pandia-vet ./... already includes the
+# alloccheck and lock proofs, so their standalone targets are not repeated.
 check: build
 	$(GO) vet ./...
 	$(GO) run ./cmd/pandia-vet ./...
-	$(GO) run ./cmd/pandia-vet -only alloccheck ./...
-	$(GO) run ./cmd/pandia-vet -only deadlockcheck,guardcheck ./...
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-gate
 	$(MAKE) scenario-smoke
 	$(MAKE) journal-smoke
+
+# kernels-scaling holds the EP kernel to an absolute parallel fraction
+# above 0.5. It measures the host as much as the code, so it needs an
+# otherwise idle multi-core machine and stays out of `go test ./...`, where
+# EP is only compared against a calibration kernel run alongside it.
+kernels-scaling:
+	$(GO) test -tags scaling -run TestEPScalingAbsolute -count=1 ./internal/kernels/
 
 # fuzz-smoke is the gate-sized fuzzing pass: 5 seconds per target, enough
 # to catch parser/expander regressions on the corpus plus easy mutations.
