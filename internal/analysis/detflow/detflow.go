@@ -108,9 +108,7 @@ func run(pass *analysis.Pass) error {
 			continue
 		}
 		for _, s := range c.collect(n) {
-			if !c.ignored(s.pos) {
-				pass.Reportf(s.pos, "%s; %s", s.why, s.advice)
-			}
+			c.reportLocal(s)
 		}
 		if n.Decl != nil {
 			c.reportEntry(n)
@@ -146,13 +144,21 @@ func (c *checker) reportInitializers() {
 					if !ok {
 						return true
 					}
-					if s, ok := nondetCall(fn); ok && !c.ignored(x.Pos()) {
-						c.pass.Reportf(x.Pos(), "%s; %s", s.why, s.advice)
+					if s, ok := nondetCall(fn); ok {
+						s.pos = x.Pos()
+						c.reportLocal(s)
 					}
 				}
 				return true
 			})
 		}
+	}
+}
+
+// reportLocal reports a source inside the package at its own line.
+func (c *checker) reportLocal(s source) {
+	if !c.ignored(s.pos) {
+		c.pass.Reportf(s.pos, "%s; %s", s.why, s.advice)
 	}
 }
 
