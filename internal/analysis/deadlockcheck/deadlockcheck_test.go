@@ -8,5 +8,12 @@ import (
 )
 
 func TestDeadlockcheckFixtures(t *testing.T) {
-	analysistest.Run(t, "testdata", deadlockcheck.Analyzer, "a", "local")
+	analysistest.Run(t, "testdata", deadlockcheck.Analyzer, "a")
+}
+
+// TestDeadlockcheckLocalFindings runs the single-function fixture: re-locks,
+// wrong-flavour releases, returns with a lock held and channel operations
+// under a lock.
+func TestDeadlockcheckLocalFindings(t *testing.T) {
+	analysistest.Run(t, "testdata", deadlockcheck.Analyzer, "local")
 }

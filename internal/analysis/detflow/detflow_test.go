@@ -8,7 +8,13 @@ import (
 )
 
 func TestDetflowFixtures(t *testing.T) {
-	analysistest.Run(t, "testdata", detflow.Analyzer, "a", "local")
+	analysistest.Run(t, "testdata", detflow.Analyzer, "a")
+}
+
+// TestDetflowLocalSources runs the in-package fixture: nondeterminism
+// sources in the package under analysis are reported at the source line.
+func TestDetflowLocalSources(t *testing.T) {
+	analysistest.Run(t, "testdata", detflow.Analyzer, "local")
 }
 
 // TestDetflowCoversObservability pins the pass's scope: the observability
