@@ -12,8 +12,8 @@ GO ?= go
 
 # The benchmarks whose trajectory BENCH_core.json tracks. The unanchored
 # BenchmarkPredictSweep also matches BenchmarkPredictSweepWarm (the
-# cache-served sweep); the last three cover the incremental fast path of
-# DESIGN.md §12.
+# cache-served sweep); the last three cover the cached and pruned fast
+# paths of DESIGN.md §12.
 BENCH_CORE = BenchmarkFig10Curves|BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkPredictSweep|BenchmarkTestbedRun|BenchmarkEnumeratePlacements|BenchmarkPredictTimeWarm$$|BenchmarkCacheHit$$|BenchmarkSweepPruned$$
 
 .PHONY: check test vet pandia-vet alloccheck lockcheck kernels-scaling fuzz fuzz-smoke scenario-smoke journal-smoke bench bench-smoke bench-gate build
@@ -83,10 +83,13 @@ bench:
 	  | $(GO) run ./cmd/pandia-benchjson -label current -out BENCH_core.json
 
 # bench-smoke is the CI-sized pass: a few iterations of the allocation-
-# sensitive micro-benchmarks, parsed but not recorded, so a broken bench or
+# sensitive micro-benchmarks and of the scheduler's Submit (cache-served and
+# cold), Rebalance and Drain, parsed but not recorded, so a broken bench or
 # parser fails the gate without paying for a full measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse$$|BenchmarkPredictorReuseX24$$|BenchmarkPredictTimeWarm$$|BenchmarkCacheHit$$|BenchmarkSweepPruned$$' -benchtime 5x -benchmem . \
+	  | $(GO) run ./cmd/pandia-benchjson -label smoke -out ''
+	$(GO) test -run '^$$' -bench 'BenchmarkSubmitWarm$$|BenchmarkSubmitCold$$|BenchmarkRebalance$$|BenchmarkDrain$$' -benchtime 5x -benchmem ./internal/scheduler \
 	  | $(GO) run ./cmd/pandia-benchjson -label smoke -out ''
 
 # bench-gate is the perf/observability overhead gate: the fast paths must

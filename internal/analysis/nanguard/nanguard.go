@@ -288,7 +288,7 @@ func (c *checker) checkMathCall(call *ast.CallExpr, g guards) {
 		x := call.Args[0]
 		if !c.provenPositive(x, g) && !c.suppressed(call.Pos()) {
 			c.pass.Reportf(call.Pos(),
-				"math.%s argument %s is not provably positive; guard it or use a SafeLog helper",
+				"math.%s argument %s is not provably positive; guard it",
 				fn.Name(), types.ExprString(x))
 		}
 	case "Pow":

@@ -143,7 +143,6 @@ func (h *canonHash) options(o Options) {
 	h.bool(o.DisableBurstiness)
 	h.bool(o.DisableComm)
 	h.bool(o.DisableLoadBalance)
-	h.bool(o.WarmStart)
 }
 
 func (h *canonHash) placement(p placement.Placement) {

@@ -43,7 +43,7 @@ func referenceCoKey(c *CoCache, md *machine.Description, placed []PlacedWorkload
 	i(opt.DampenAfter)
 	f(opt.Tolerance)
 	for _, v := range []bool{opt.AllowDegraded, opt.SinglePass, opt.DisableBurstiness,
-		opt.DisableComm, opt.DisableLoadBalance, opt.WarmStart} {
+		opt.DisableComm, opt.DisableLoadBalance} {
 		flag(v)
 	}
 	i(len(placed))

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -62,7 +61,7 @@ func (c *churn) step() []PlacedWorkload {
 		if c.slots[i] != nil {
 			c.slots[i] = c.place(i, 1+int(c.rand())%6)
 		}
-	case 3: // repeat: unchanged mix, exercises exact-state reuse
+	case 3: // repeat: unchanged mix
 	}
 	return c.placed()
 }
@@ -78,8 +77,8 @@ func (c *churn) placed() []PlacedWorkload {
 }
 
 // TestCoPredictorChurnBitIdentical is the randomized differential test of
-// the incremental solver: a persistent CoPredictor under default options
-// must return bit-identical predictions to a cold PredictCoSchedule at every
+// engine-scratch reuse: a persistent CoPredictor under default options must
+// return bit-identical predictions to a fresh PredictCoSchedule at every
 // step of a randomized join/leave/move/repeat churn sequence.
 func TestCoPredictorChurnBitIdentical(t *testing.T) {
 	for _, seed := range []uint32{1, 7, 42, 1234} {
@@ -93,7 +92,7 @@ func TestCoPredictorChurnBitIdentical(t *testing.T) {
 			if len(placed) == 0 {
 				continue
 			}
-			warm, err := cp.Predict(placed)
+			got, err := cp.Predict(placed)
 			if err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
@@ -101,86 +100,10 @@ func TestCoPredictorChurnBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
-			if !reflect.DeepEqual(warm, cold) {
-				t.Fatalf("seed %d step %d: incremental prediction diverged from cold solve\nwarm: %+v\ncold: %+v",
-					seed, step, warm, cold)
+			if !reflect.DeepEqual(got, cold) {
+				t.Fatalf("seed %d step %d: CoPredictor diverged from cold solve\ngot:  %+v\ncold: %+v",
+					seed, step, got, cold)
 			}
 		}
-		st := cp.Stats()
-		if st.Reused == 0 {
-			t.Fatalf("seed %d: exact-state reuse never fired: %+v", seed, st)
-		}
-	}
-}
-
-// TestCoPredictorWarmStartTolerance runs the same churn under
-// Options.WarmStart and checks the warm-started fixed points agree with the
-// cold solves to solver tolerance, and that warm starts actually happen.
-func TestCoPredictorWarmStartTolerance(t *testing.T) {
-	c := newChurnState(99)
-	cp, err := NewCoPredictor(c.md, Options{WarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := 0; step < 80; step++ {
-		placed := c.step()
-		if len(placed) == 0 {
-			continue
-		}
-		warm, err := cp.Predict(placed)
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		cold, err := PredictCoSchedule(c.md, placed, Options{})
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		for j := range cold.Predictions {
-			wp, cp := warm.Predictions[j], cold.Predictions[j]
-			if relDiff(wp.Time, cp.Time) > 1e-6 || relDiff(wp.Speedup, cp.Speedup) > 1e-6 {
-				t.Fatalf("step %d job %d: warm (%.12g, %.12g) vs cold (%.12g, %.12g)",
-					step, j, wp.Time, wp.Speedup, cp.Time, cp.Speedup)
-			}
-		}
-	}
-	if st := cp.Stats(); st.WarmStarted == 0 {
-		t.Fatalf("warm start never fired: %+v", st)
-	}
-}
-
-func relDiff(a, b float64) float64 {
-	d := math.Abs(a - b)
-	if m := math.Max(math.Abs(a), math.Abs(b)); m > 0 {
-		return d / m
-	}
-	return d
-}
-
-// TestCoPredictorExactReuse checks the delta-zero path: predicting the same
-// mix twice serves the second result from the saved converged state,
-// bit-identical to the first.
-func TestCoPredictorExactReuse(t *testing.T) {
-	c := newChurnState(5)
-	c.slots[0] = c.place(0, 4)
-	c.slots[2] = c.place(2, 6)
-	placed := c.placed()
-	cp, err := NewCoPredictor(c.md, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := cp.Predict(placed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := cp.Predict(placed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatal("exact-state reuse changed the prediction")
-	}
-	st := cp.Stats()
-	if st.Reused != 1 || st.Cold != 1 {
-		t.Fatalf("stats = %+v, want one cold solve and one reuse", st)
 	}
 }

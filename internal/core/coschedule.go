@@ -49,11 +49,8 @@ func coPrediction(md *machine.Description, e *engine, opt Options) (*CoPredictio
 }
 
 // assembleCoPrediction builds the CoPrediction from a bound engine whose
-// per-thread state already holds a solve's result — either because iterate
-// just ran, or because CoPredictor restored the previous converged state
-// (DESIGN.md §12). Re-running accumulate from the final utilisations
-// reproduces the load tables bit-identically, so both entry points yield the
-// same bytes.
+// per-thread state already holds a solve's result. It re-runs accumulate
+// from the final utilisations so the load tables match them.
 func assembleCoPrediction(md *machine.Description, e *engine, iters int, converged bool) (*CoPrediction, error) {
 	e.accumulate()
 	loads := e.loadsMap()

@@ -62,11 +62,6 @@ type job struct {
 	sockWorst []float64
 	sockKind  []topology.ResourceKind
 	sCap      float64
-	// capLocked marks a restored warm-start job whose sCap was captured by a
-	// previous solve's first iteration: iterate must keep that cap instead of
-	// re-deriving it from the (already converged) warm state, or the cap of
-	// §5.4 would be recomputed from capped values and drift.
-	capLocked bool
 
 	// buf is the slab backing all the job's float64 scratch above, and
 	// kinds the one backing bottleneck and sockKind: carving keeps a cold
@@ -317,7 +312,6 @@ func (j *job) bind(e *engine, topo topology.Machine, w *Workload, place placemen
 	j.amdahl = w.AmdahlSpeedup(n)
 	j.fInit = j.amdahl / float64(n) //nanguard:ok bind rejects empty placements, n >= 1
 	j.sCap = math.Inf(1)
-	j.capLocked = false
 
 	for s := range e.sockSeen {
 		e.sockSeen[s] = false
@@ -579,13 +573,9 @@ func (e *engine) iterate(opt Options) (int, bool) {
 			}
 		}
 
-		// Bound every value by the first iteration's maximum (§5.4). Jobs
-		// restored from a previous converged state keep their captured cap.
+		// Bound every value by the first iteration's maximum (§5.4).
 		if iter == 0 {
 			for _, j := range e.jobs {
-				if j.capLocked {
-					continue
-				}
 				j.sCap = 1
 				for _, s := range j.sTot {
 					if s > j.sCap {

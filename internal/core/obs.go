@@ -24,13 +24,11 @@ var (
 	metSweepPerWkr = obs.Default().Histogram("core.sweep.worker_predictions",
 		[]float64{1, 4, 16, 64, 256, 1024, 4096, 16384})
 
-	// Incremental-prediction path (DESIGN.md §12): canonical-cache traffic,
-	// solver warm starts (converged-state reuse included), and placements
-	// skipped by the dominance bound in pruned sweeps.
+	// Incremental-prediction path (DESIGN.md §12): canonical-cache traffic
+	// and placements skipped by the dominance bound in pruned sweeps.
 	metCacheHits      = obs.Default().Counter("core.cache.hits")
 	metCacheMisses    = obs.Default().Counter("core.cache.misses")
 	metCacheEvictions = obs.Default().Counter("core.cache.evictions")
-	metWarmStarts     = obs.Default().Counter("core.solver.warm_starts")
 	metSweepPruned    = obs.Default().Counter("core.sweep.pruned")
 )
 

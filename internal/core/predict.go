@@ -52,17 +52,6 @@ type Options struct {
 	// deliberately re-runs the full pipeline every call).
 	Cache *PredictionCache
 
-	// WarmStart lets CoPredictor.Predict seed the fixed-point iteration
-	// from its previous converged state when the new mix differs from the
-	// previous call by at most one job joining, leaving, or moving. The
-	// warm iteration converges to the same fixed point within the solver
-	// tolerance but NOT bit-identically — the iteration trajectory differs
-	// — so replay-diffed paths (the scheduler, scenario replays) leave it
-	// off and rely on the bit-exact converged-state reuse and the canonical
-	// cache instead. Identical-mix re-solves are always served from the
-	// converged state, bit-identically, regardless of this flag.
-	WarmStart bool
-
 	// SinglePass stops after the first iteration (ablation).
 	SinglePass bool
 	// DisableBurstiness drops the core-sharing term (ablation).

@@ -537,38 +537,15 @@ func sweepChunksPruned(p *Predictor, places []placement.Placement, out []TimePre
 // CoPredictor is the reusable joint-prediction pipeline: one engine's
 // scratch re-bound to successive co-schedules of the same machine. The
 // scheduler uses one per Scheduler instance, under its lock, to evaluate
-// candidate placements without rebuilding the engine each time.
-//
-// A CoPredictor keeps its previous converged state (DESIGN.md §12): when a
-// Predict call repeats the previous mix exactly, the converged per-thread
-// state is restored from the slab and the fixed-point loop is skipped
-// entirely — bit-identical to re-solving, since the restored state *is* the
-// state the solve would reach. With Options.WarmStart, a mix differing by
-// one job joining/leaving/moving additionally seeds the iteration from the
-// previous converged utilisations (tolerance-identical, not bit-identical;
-// see Options.WarmStart). Any larger delta falls back to the exact cold
-// solve.
+// candidate placements without rebuilding the engine each time. Every
+// Predict call is a cold solve (bind, iterate, assemble); reuse of whole
+// joint predictions is the CoCache's job (DESIGN.md §12).
 //
 // A CoPredictor is not safe for concurrent use.
 type CoPredictor struct {
 	md  *machine.Description
 	e   *engine
 	opt Options
-
-	memo  coMemo
-	stats CoPredictorStats
-}
-
-// CoPredictorStats counts how successive Predict calls were solved.
-type CoPredictorStats struct {
-	// Reused counts identical-mix calls served bit-identically from the
-	// saved converged state without iterating.
-	Reused int64
-	// WarmStarted counts one-job-delta calls that seeded the iteration
-	// from the previous converged state (Options.WarmStart only).
-	WarmStarted int64
-	// Cold counts full solves from the Amdahl initialisation.
-	Cold int64
 }
 
 // NewCoPredictor validates the machine once and allocates the joint engine
@@ -591,48 +568,12 @@ func (cp *CoPredictor) Options() Options { return cp.opt }
 // from the canonical hash).
 func (cp *CoPredictor) SetSpan(id int64) { cp.opt.SpanID = id }
 
-// Stats returns how this CoPredictor's calls were solved so far.
-func (cp *CoPredictor) Stats() CoPredictorStats { return cp.stats }
-
 // Predict jointly predicts the placed workloads. The result is identical to
-// core.PredictCoSchedule(md, placed, opt) — the package-level function is
-// implemented on top of this method — except that a WarmStart-seeded solve
-// agrees only to within the convergence tolerance (see Options.WarmStart).
+// core.PredictCoSchedule(md, placed, opt); the package-level function is
+// implemented on top of this method.
 func (cp *CoPredictor) Predict(placed []PlacedWorkload) (*CoPrediction, error) {
-	match := cp.memo.match(cp.md, placed)
 	if err := cp.e.bind(placed, true); err != nil {
-		cp.memo.invalidate()
 		return nil, err
 	}
-	if invariantChecks.Load() {
-		// The checks want to observe every iteration; solve cold and skip
-		// the memo so no state is reused around them.
-		cp.memo.invalidate()
-		cp.stats.Cold++
-		return coPrediction(cp.md, cp.e, cp.opt)
-	}
-	switch {
-	case match.exact:
-		cp.memo.restore(cp.e)
-		cp.stats.Reused++
-		metWarmStarts.Inc()
-		out, err := assembleCoPrediction(cp.md, cp.e, cp.memo.iters, cp.memo.converged)
-		if err != nil {
-			cp.memo.invalidate()
-		}
-		return out, err
-	case cp.opt.WarmStart && match.warm():
-		cp.memo.seed(cp.e, match, cp.opt)
-		cp.stats.WarmStarted++
-		metWarmStarts.Inc()
-	default:
-		cp.stats.Cold++
-	}
-	out, err := coPrediction(cp.md, cp.e, cp.opt)
-	if err != nil {
-		cp.memo.invalidate()
-		return nil, err
-	}
-	cp.memo.save(cp.e, out.Iterations, out.Converged)
-	return out, nil
+	return coPrediction(cp.md, cp.e, cp.opt)
 }

@@ -20,15 +20,6 @@ func SafeDiv(num, den, fallback float64) float64 {
 	return q
 }
 
-// SafeLog returns math.Log(x), or fallback when x is not a positive finite
-// number (for which the log would be NaN or ±Inf).
-func SafeLog(x, fallback float64) float64 {
-	if !(x > 0) || math.IsInf(x, 1) {
-		return fallback
-	}
-	return math.Log(x)
-}
-
 // Clamp limits x to [lo, hi]. A NaN x clamps to lo, so a poisoned value
 // re-enters the legal range instead of propagating; ±Inf clamp to the
 // nearest bound.

@@ -38,40 +38,13 @@ func TestSafeDiv(t *testing.T) {
 	}
 }
 
-func TestSafeLog(t *testing.T) {
-	inf := math.Inf(1)
-	nan := math.NaN()
-	cases := []struct {
-		name    string
-		x, fall float64
-		want    float64
-	}{
-		{"e", math.E, -1, 1},
-		{"one", 1, -1, 0},
-		{"zero", 0, -1, -1},
-		{"negative", -2, -1, -1},
-		{"nan", nan, -1, -1},
-		{"pos inf", inf, -1, -1},
-		{"neg inf", -inf, -1, -1},
-		{"subnormal", math.SmallestNonzeroFloat64, -1, math.Log(math.SmallestNonzeroFloat64)},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := SafeLog(tc.x, tc.fall)
-			if got != tc.want {
-				t.Fatalf("SafeLog(%g, %g) = %g, want %g", tc.x, tc.fall, got, tc.want)
-			}
-		})
-	}
-}
-
 func TestClamp(t *testing.T) {
 	inf := math.Inf(1)
 	nan := math.NaN()
 	cases := []struct {
-		name          string
-		x, lo, hi     float64
-		want          float64
+		name      string
+		x, lo, hi float64
+		want      float64
 	}{
 		{"inside", 0.5, 0, 1, 0.5},
 		{"below", -2, 0, 1, 0},

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 )
 
 // TraceLabels resolves producer-defined identifiers (job indices, resource
@@ -208,31 +207,4 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(s)
-}
-
-// Handler returns an expvar-style HTTP handler: a flat JSON object mapping
-// metric names to values (counters and gauges as numbers, histograms as
-// {count, sum, bounds, counts} objects), keys sorted. Mount it wherever
-// /debug/vars would go.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		s := r.Snapshot()
-		flat := make(map[string]any, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
-		for _, c := range s.Counters {
-			flat[c.Name] = c.Value
-		}
-		for _, g := range s.Gauges {
-			flat[g.Name] = g.Value
-		}
-		for _, h := range s.Histograms {
-			flat[h.Name] = map[string]any{
-				"count": h.Count, "sum": h.Sum, "bounds": h.Bounds, "counts": h.Counts,
-			}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		// The ResponseWriter owns delivery failures; nothing useful to do here.
-		_ = enc.Encode(flat)
-	})
 }

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
-	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
@@ -206,30 +204,6 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	if got := r.Histogram("h", nil).Count(); got != workers*iters {
 		t.Fatalf("histogram count = %d, want %d", got, workers*iters)
-	}
-}
-
-func TestHandlerExpvarShape(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("core.predict.total").Add(2)
-	r.Gauge("sched.load").Set(0.5)
-	r.Histogram("core.predict.iterations", []float64{1, 2}).Observe(2)
-
-	rec := httptest.NewRecorder()
-	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json; charset=utf-8" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	var flat map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &flat); err != nil {
-		t.Fatalf("handler output is not JSON: %v\n%s", err, rec.Body.String())
-	}
-	if flat["core.predict.total"] != float64(2) {
-		t.Fatalf("counter in handler output = %v", flat["core.predict.total"])
-	}
-	hist, ok := flat["core.predict.iterations"].(map[string]any)
-	if !ok || hist["count"] != float64(1) {
-		t.Fatalf("histogram in handler output = %v", flat["core.predict.iterations"])
 	}
 }
 

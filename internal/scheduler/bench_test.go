@@ -88,13 +88,15 @@ func BenchmarkSubmitWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkSubmitUncached is the same cycle with the joint cache disabled:
-// every candidate is a joint solve on the pooled CoPredictor.
-func BenchmarkSubmitUncached(b *testing.B) {
-	s, job := warmMix(b, Config{DisablePredictionCache: true})
+// BenchmarkSubmitCold is the same cycle with the joint cache emptied
+// before each Submit: every candidate is a cold solve on the pooled
+// CoPredictor.
+func BenchmarkSubmitCold(b *testing.B) {
+	s, job := warmMix(b, Config{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		s.InvalidatePredictions()
 		submitRemove(b, s, job)
 	}
 }

@@ -2,18 +2,32 @@ package scheduler
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"pandia/internal/analysis/leaktest"
+	"pandia/internal/core"
+	"pandia/internal/machine"
 	"pandia/internal/placement"
 )
 
-// driveScheduler runs the same submit / degrade / rebalance / drain
-// sequence on a scheduler and returns the JSON-serialised rebalance and
-// drain reports plus the final assignment placements.
-func driveScheduler(t *testing.T, s *Scheduler) (rebalance, drain []byte, placements []placement.Placement) {
-	t.Helper()
+// TestPredictionCacheDecisionInvariant pins the shared prediction cache as
+// a pure acceleration. Every number a Rebalance report carries (BaseTimes,
+// BaseScore, each move's Deltas and Gain) must equal, bit for bit, what
+// cold core.PredictCoSchedule solves of the same mixes give, and the moves
+// must be exactly the ones the reference advises. Reports are checked on a
+// fresh mix, on a repeat served from the cache, and after a drain has
+// filled the cache with its migration search. Submit and drain placements
+// are pinned by TestScorerMatchesBruteForce.
+func TestPredictionCacheDecisionInvariant(t *testing.T) {
+	defer leaktest.Check(t)()
+	md := testMD(t)
+	s, err := New(md, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	a1, err := s.Submit(func() Job { j := computeJob("c1"); j.Threads = 8; return j }())
 	if err != nil {
 		t.Fatal(err)
@@ -38,71 +52,96 @@ func driveScheduler(t *testing.T, s *Scheduler) (rebalance, drain []byte, placem
 		}
 	}
 
-	rep, err := s.Rebalance(0.02)
-	if err != nil {
-		t.Fatal(err)
+	if n := checkRebalance(t, s, md, 0.02); n == 0 {
+		t.Fatal("rebalance advised no move; nothing was checked")
 	}
-	rebalance, err = json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
+	// A gain floor of -1 makes every distinct candidate advice, so every
+	// cached candidate prediction is checked. Rebalance scores without
+	// pruning, so the first pass cached all of them.
+	misses := s.PredictionCacheStats().Misses
+	if n := checkRebalance(t, s, md, -1); n < 2 {
+		t.Fatalf("rebalance with no gain floor advised %d moves", n)
 	}
-
+	if got := s.PredictionCacheStats().Misses; got != misses {
+		t.Fatalf("repeated rebalance missed the cache %d times", got-misses)
+	}
 	drep, err := s.DrainSocket(0, DrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	drain, err = json.Marshal(drep)
-	if err != nil {
-		t.Fatal(err)
+	if len(drep.Migrated) == 0 {
+		t.Fatalf("drain migrated nothing: %+v", drep)
 	}
-
-	for _, a := range s.Assignments() {
-		placements = append(placements, a.Placement)
-	}
-	return rebalance, drain, placements
+	checkRebalance(t, s, md, -1)
 }
 
-// TestPredictionCacheDecisionInvariant runs an identical submit → degrade →
-// rebalance → drain sequence on a cached and an uncached scheduler and
-// requires byte-for-byte identical reports and identical final placements:
-// the shared prediction cache and the dominance pruning are pure
-// accelerations, never decision changes.
-func TestPredictionCacheDecisionInvariant(t *testing.T) {
-	defer leaktest.Check(t)()
-	md := testMD(t)
-	cached, err := New(md, Config{})
+// checkRebalance runs s.Rebalance(minGain) and compares the report with a
+// reference built from cold joint solves: the base mix, then every
+// distinct candidate of every job in its slot, advised when its gain
+// reaches minGain, stably sorted by decreasing gain. It returns the number
+// of moves checked.
+func checkRebalance(t *testing.T, s *Scheduler, md *machine.Description, minGain float64) int {
+	t.Helper()
+	rep, err := s.Rebalance(minGain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached, err := New(testMD(t), Config{DisablePredictionCache: true})
-	if err != nil {
-		t.Fatal(err)
+	s.mu.Lock()
+	ids, mix := s.mixLocked(0)
+	ids, mix = slices.Clone(ids), slices.Clone(mix)
+	cands := make([][]candidate, len(ids))
+	for i, id := range ids {
+		cands[i] = s.generatedLocked(id, len(mix[i].Placement))
 	}
+	s.mu.Unlock()
 
-	cr, cd, cp := driveScheduler(t, cached)
-	ur, ud, up := driveScheduler(t, uncached)
-
-	if !bytes.Equal(cr, ur) {
-		t.Fatalf("rebalance reports differ:\ncached:   %s\nuncached: %s", cr, ur)
+	cold := func(mix []core.PlacedWorkload) *core.CoPrediction {
+		co, err := core.PredictCoSchedule(md, mix, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return co
 	}
-	if !bytes.Equal(cd, ud) {
-		t.Fatalf("drain reports differ:\ncached:   %s\nuncached: %s", cd, ud)
+	base := cold(mix)
+	want := &RebalanceReport{JobIDs: ids, BaseTimes: make([]float64, len(ids)), BaseScore: aggregateThroughput(base)}
+	for i := range ids {
+		want.BaseTimes[i] = base.Predictions[i].Time
 	}
-	if len(cp) != len(up) {
-		t.Fatalf("assignment counts differ: %d vs %d", len(cp), len(up))
-	}
-	for i := range cp {
-		if !samePlacement(cp[i], up[i]) {
-			t.Fatalf("assignment %d placement differs: %v vs %v", i, cp[i], up[i])
+	for i, id := range ids {
+		for k, c := range cands[i] {
+			if repeats(cands[i], k) {
+				continue
+			}
+			moved := slices.Clone(mix)
+			moved[i].Placement = c.place
+			co := cold(moved)
+			gain := aggregateThroughput(co)/want.BaseScore - 1
+			if gain < minGain {
+				continue
+			}
+			m := Move{JobID: id, From: mix[i].Placement, To: c.place, Strategy: c.strategy,
+				Gain: gain, Deltas: make([]JobDelta, len(ids))}
+			for j, jid := range ids {
+				m.Deltas[j] = JobDelta{JobID: jid, Before: want.BaseTimes[j], After: co.Predictions[j].Time}
+			}
+			want.Moves = append(want.Moves, m)
 		}
 	}
+	slices.SortStableFunc(want.Moves, func(a, b Move) int { return cmp.Compare(b.Gain, a.Gain) })
 
-	if st := cached.PredictionCacheStats(); st.Hits == 0 {
-		t.Fatalf("cached scheduler never hit its cache: %+v", st)
+	// Shortest round-trip float formatting makes equal JSON bit-equal.
+	got, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := uncached.PredictionCacheStats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("uncached scheduler touched a cache: %+v", st)
+	ref, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !bytes.Equal(got, ref) {
+		t.Fatalf("rebalance report differs from cold solves:\ngot:  %s\ncold: %s", got, ref)
+	}
+	return len(rep.Moves)
 }
 
 // TestInvalidatePredictions checks the scheduler's bulk invalidation hook

@@ -110,10 +110,8 @@ func (s *Scheduler) beginOpLocked(op, job string) opScope {
 	sc.id = s.cfg.Journal.NextID()
 	if sc.journaling {
 		sc.rec = obs.DecisionRecord{ID: sc.id, Op: op, Job: job}
-		if s.coCache != nil {
-			sc.cache = s.coCache
-			sc.cacheBase = s.coCache.Stats()
-		}
+		sc.cache = s.coCache
+		sc.cacheBase = s.coCache.Stats()
 	}
 	if sc.tracing {
 		tr.Emit(obs.Event{Kind: obs.EvSpanBegin, Span: sc.id, Arg: SpanPhaseOp, Job: spanRow})
@@ -146,11 +144,9 @@ func (sc *opScope) record() {
 	if !sc.journaling {
 		return
 	}
-	if sc.cache != nil {
-		cs := sc.cache.Stats()
-		sc.rec.CacheHits = cs.Hits - sc.cacheBase.Hits
-		sc.rec.CacheMisses = cs.Misses - sc.cacheBase.Misses
-	}
+	cs := sc.cache.Stats()
+	sc.rec.CacheHits = cs.Hits - sc.cacheBase.Hits
+	sc.rec.CacheMisses = cs.Misses - sc.cacheBase.Misses
 	sc.s.cfg.Journal.Record(sc.rec)
 }
 

@@ -20,7 +20,6 @@ import (
 // Mux returns the scheduler's introspection endpoints on a fresh ServeMux:
 //
 //	/metrics          Prometheus text exposition of the default registry
-//	/debug/vars       expvar-shaped JSON snapshot of the same registry
 //	/debug/decisions  the decision journal's records and incident dumps
 //	/debug/health     context health, running assignments, journal counters
 //	/debug/explain    ?job=ID: contention attribution under the running mix
@@ -30,7 +29,6 @@ import (
 func (s *Scheduler) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", obs.Default().PrometheusHandler())
-	mux.Handle("/debug/vars", obs.Default().Handler())
 	mux.HandleFunc("/debug/decisions", s.handleDecisions)
 	mux.HandleFunc("/debug/health", s.handleHealth)
 	mux.HandleFunc("/debug/explain", s.handleExplain)

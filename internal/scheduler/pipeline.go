@@ -194,12 +194,9 @@ func (s *Scheduler) mixLocked(extra int) ([]string, []core.PlacedWorkload) {
 	return p.ids, p.mix
 }
 
-// keyPrefixLocked hashes a mix's fixed jobs[:slot] into a cache key prefix
-// (the zero prefix when the cache is disabled). The caller must hold mu.
+// keyPrefixLocked hashes a mix's fixed jobs[:slot] into a cache key
+// prefix. The caller must hold mu.
 func (s *Scheduler) keyPrefixLocked(jobs []core.PlacedWorkload, slot int) core.CoKeyPrefix {
-	if s.coCache == nil {
-		return core.CoKeyPrefix{}
-	}
 	return s.coCache.KeyPrefix(s.md, s.co.Options(), len(jobs), jobs[:slot])
 }
 
@@ -210,17 +207,14 @@ func (s *Scheduler) predictMixLocked(jobs []core.PlacedWorkload, span int64) (*c
 
 // predictSlotLocked jointly predicts one mix through the shared prediction
 // cache: a canonical-hash hit returns the exact CoPrediction an earlier
-// solve produced (callers treat it as read-only), a miss solves on the
-// pooled CoPredictor and stores the result. pre is keyPrefixLocked(jobs,
-// slot), so only jobs[slot:] are hashed here. span is the requesting
-// operation's decision id (0 outside one): it brackets the cache lookup in
-// a span and rides into the solver's trace events, but is excluded from the
-// cache key (DESIGN.md §12). The caller must hold mu.
+// solve produced (callers treat it as read-only), a miss makes one cold
+// solve on the pooled CoPredictor and stores the result. pre is
+// keyPrefixLocked(jobs, slot), so only jobs[slot:] are hashed here. span is
+// the requesting operation's decision id (0 outside one): it brackets the
+// cache lookup in a span and rides into the solver's trace events, but is
+// excluded from the cache key (DESIGN.md §12). The caller must hold mu.
 func (s *Scheduler) predictSlotLocked(pre core.CoKeyPrefix, jobs []core.PlacedWorkload, slot int, span int64) (*core.CoPrediction, error) {
 	s.co.SetSpan(span)
-	if s.coCache == nil {
-		return s.co.Predict(jobs)
-	}
 	tr := s.cfg.Tracer
 	tracing := span != 0 && tr != nil && tr.Enabled()
 	if tracing {

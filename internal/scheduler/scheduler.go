@@ -108,13 +108,6 @@ type Config struct {
 	// (faults.MachineInjector.PlacementCheck), as would an OS-level
 	// pinning dry-run.
 	PlacementCheck func(placement.Placement) error
-	// DisablePredictionCache turns off the shared joint-prediction cache
-	// that Submit, Predict, Rebalance, and the drain migration search route
-	// through. Cache hits return the exact previously computed prediction
-	// (the key is a canonical content hash — DESIGN.md §12), so disabling
-	// the cache changes no decision; the flag exists for differential tests
-	// and measurement.
-	DisablePredictionCache bool
 	// Journal, when non-nil and enabled, receives one typed DecisionRecord
 	// per scheduler operation — decision id, cause chain, candidate-set
 	// size, top-k alternative placements, prune/cache statistics, typed
@@ -163,9 +156,10 @@ type Scheduler struct {
 	//pandia:guardedby(mu)
 	co *core.CoPredictor
 	// coCache memoizes joint predictions across Submit, Predict, Rebalance,
-	// and drain candidate scoring; nil when Config.DisablePredictionCache.
-	// The cache itself is concurrency-safe, but it is only touched under mu
-	// alongside co.
+	// and drain candidate scoring. A hit returns the exact prediction an
+	// earlier solve produced (the key is a canonical content hash —
+	// DESIGN.md §12), so the cache changes no decision. It is itself
+	// concurrency-safe, but it is only touched under mu alongside co.
 	//pandia:guardedby(mu)
 	coCache *core.CoCache
 	// pipe is the candidate pipeline's scratch (pipeline.go).
@@ -193,10 +187,8 @@ func New(md *machine.Description, cfg Config) (*Scheduler, error) {
 		occupied: make([]string, n),
 		health:   make([]Health, n),
 		co:       co,
+		coCache:  core.NewCoCache(0),
 		pipe:     newPipeline(md.Topo),
-	}
-	if !cfg.DisablePredictionCache {
-		s.coCache = core.NewCoCache(0)
 	}
 	if cfg.AdmissionRate > 0 {
 		// The bucket starts full so a fresh scheduler accepts a burst.
@@ -476,19 +468,14 @@ func (s *Scheduler) Predict() (*core.CoPrediction, error) {
 func (s *Scheduler) InvalidatePredictions() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.coCache != nil {
-		s.coCache.Invalidate()
-	}
+	s.coCache.Invalidate()
 }
 
 // PredictionCacheStats reports the shared joint-prediction cache's lifetime
-// traffic (zero when the cache is disabled).
+// traffic.
 func (s *Scheduler) PredictionCacheStats() core.CacheStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.coCache == nil {
-		return core.CacheStats{}
-	}
 	return s.coCache.Stats()
 }
 
